@@ -127,6 +127,14 @@ def kron_with_identity(b: np.ndarray, m: int) -> np.ndarray:
     return out.reshape(b.shape[:-2] + (d * m, d * m))
 
 
+def amplification_level(point: np.ndarray, base_dim: int) -> int:
+    """Level k of a (stacked) point of M_k(B), B = M_n(C) with n = base_dim."""
+    d = point.shape[-1]
+    if d % base_dim:
+        raise ValueError(f"point of size {d} is not an amplification of B (dim {base_dim})")
+    return d // base_dim
+
+
 def identity_kron(k: int, x: np.ndarray) -> np.ndarray:
     """1_k otimes x (diagonal block repetition)."""
     if k == 1:
@@ -145,6 +153,22 @@ def direct_sum(*blocks: np.ndarray) -> np.ndarray:
         out[pos:pos + s, pos:pos + s] = b
         pos += s
     return out
+
+
+def upper_block(top_left, top_right, bottom_right) -> np.ndarray:
+    """[[top_left, top_right], [0, bottom_right]], batched over leading axes."""
+    d = top_left.shape[-1]
+    out = np.zeros(top_left.shape[:-2] + (2 * d, 2 * d), dtype=complex)
+    out[..., :d, :d] = top_left
+    out[..., :d, d:] = top_right
+    out[..., d:, d:] = bottom_right
+    return out
+
+
+def c_scale(c: np.ndarray, margin1: float, margin2: float) -> np.ndarray:
+    """Scale lam that keeps [[b1, lam c], [0, b2]] in the half-plane of b1 and b2,
+    given their half-plane margins; batched over leading axes of c."""
+    return min(1.0, margin1 * margin2) / (2.0 * opnorm_stack(c) + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -227,22 +251,12 @@ class CPMap:
         """Choi matrix sum_ij E_ij otimes map(E_ij); square maps only."""
         if self.in_dim != self.out_dim:
             raise ValueError("Choi matrix is only assembled for maps on B")
-        n = self.in_dim
-        C = np.zeros((n * n, n * n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                E = np.zeros((n, n), dtype=complex)
-                E[i, j] = 1.0
-                C += np.kron(E, self.apply(E))
-        return C
+        units = matrix_units(self.in_dim)
+        return sum(np.kron(E, F) for E, F in zip(units, self.apply(units)))
 
     def norm_bound(self) -> float:
         """Operator norm of map(1), a convenient size proxy."""
         return opnorm(self.apply(np.eye(self.in_dim, dtype=complex)))
-
-
-def apply_cp_map(m: CPMap, x: np.ndarray, level: int = 1) -> np.ndarray:
-    return m.apply(x, level)
 
 
 def choi_minus_identity_min(alpha: CPMap, tol: float = HERMITIAN_TOL) -> float:
@@ -266,6 +280,11 @@ def vec(c: np.ndarray) -> np.ndarray:
 
 def unvec(v: np.ndarray, n: int) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape(n, n).T
+
+
+def matrix_units(n: int) -> np.ndarray:
+    """Stack of the n^2 matrix units E_ij of M_n(C), in vec order."""
+    return np.swapaxes(np.eye(n * n, dtype=complex).reshape(n * n, n, n), -1, -2)
 
 
 @dataclass(frozen=True)
@@ -302,13 +321,6 @@ def linearize_on_basis(f: Callable[[np.ndarray], np.ndarray], n: int,
     nonlinear map; ``batch``, when given, evaluates a stack of inputs in one
     call and must agree with ``f`` pointwise.
     """
-    basis_inputs = []
-    for j in range(n):          # vec ordering: column index major
-        for i in range(n):
-            E = np.zeros((n, n), dtype=complex)
-            E[i, j] = 1.0
-            basis_inputs.append(E)
-
     rng = np.random.default_rng(0)
     checks = []
     if check:
@@ -318,7 +330,7 @@ def linearize_on_basis(f: Callable[[np.ndarray], np.ndarray], n: int,
             zeta = complex(rng.standard_normal(), rng.standard_normal())
             checks.append((x, y, zeta))
 
-    inputs = list(basis_inputs)
+    inputs = list(matrix_units(n))
     for x, y, zeta in checks:
         inputs.extend([x, y, x + zeta * y])
     stacked = np.stack(inputs)

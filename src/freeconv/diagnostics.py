@@ -19,6 +19,7 @@ from .algebra import (
     LinearMapOnB,
     POSITIVITY_TOL,
     as_element,
+    c_scale,
     dag,
     direct_sum,
     identity_kron,
@@ -31,6 +32,7 @@ from .algebra import (
     require_halfplane,
     require_hermitian,
     unvec,
+    upper_block,
     vec,
 )
 from .model import OperatorModel
@@ -59,37 +61,24 @@ class SpectrumCertificate:
     details: dict
 
 
-def _upper_block(top_left, top_right, bottom_right) -> np.ndarray:
-    d = top_left.shape[-1]
-    out = np.zeros(top_left.shape[:-2] + (2 * d, 2 * d), dtype=complex)
-    out[..., :d, :d] = top_left
-    out[..., :d, d:] = top_right
-    out[..., d:, d:] = bottom_right
-    return out
-
-
-def _c_scale(c: np.ndarray, margin1: float, margin2: float) -> float:
-    # keeps [[b1, lam c], [0, b2]] inside the upper half-plane
-    return min(1.0, margin1 * margin2) / (2.0 * opnorm(c) + 1.0)
-
-
 def _delta_omega_stack(problem: SubordinationProblem, b1: np.ndarray,
                        b2: np.ndarray, cs: np.ndarray, cfg: SolverConfig):
     """Difference quotients Delta omega(b1, b2)(c) for a stack of directions."""
     d = b1.shape[0]
     m1 = lambda_min(imag_part(b1))
     m2 = lambda_min(imag_part(b2))
-    lams = np.array([_c_scale(c, m1, m2) for c in cs])
-    tops = _upper_block(np.broadcast_to(b1, cs.shape),
-                        lams[:, None, None] * cs,
-                        np.broadcast_to(b2, cs.shape))
+    lams = c_scale(cs, m1, m2)
+    tops = upper_block(np.broadcast_to(b1, cs.shape),
+                       lams[:, None, None] * cs,
+                       np.broadcast_to(b2, cs.shape))
     for entry in tops:
         require_halfplane(entry, "upper", 0.0, name="amplified point")
 
-    w, _, _, ok = solve_omega_stack(problem, tops, replace(cfg, start=None))
+    w, its, res, ok = solve_omega_stack(problem, tops, replace(cfg, start=None))
     if not np.all(ok):
-        report = SolveReport(value=w[~ok][0], iterations=cfg.max_iter,
-                             residual=float("nan"), converged=False)
+        bad = np.flatnonzero(~ok)[0]
+        report = SolveReport(value=w[bad], iterations=int(its[bad]),
+                             residual=float(res[bad]), converged=False)
         raise ConvergenceError("amplified subordination solve did not converge", report)
 
     ref_cfg = replace(cfg, tol=cfg.tol * 0.1, start=None)
@@ -298,14 +287,14 @@ def vq_derivative(problem: SubordinationProblem, q, u, c,
                                      du.matrix @ vec(c)), d)
 
     lam = 1.0 / (1.0 + opnorm(c))
-    u2 = _upper_block(u, lam * c, u)
+    u2 = upper_block(u, lam * c, u)
     q2 = identity_kron(2, q)
-    w2, _, _, ok = solve_gq_stack(problem, q2[None], u2[None], replace(cfg, start=None))
+    w2, its, res, ok = solve_gq_stack(problem, q2[None], u2[None], replace(cfg, start=None))
     if not ok[0]:
         raise ConvergenceError(
             "amplified v_q solve did not converge",
-            SolveReport(value=w2[0], iterations=cfg.max_iter,
-                        residual=float("nan"), converged=False))
+            SolveReport(value=w2[0], iterations=int(its[0]),
+                        residual=float(res[0]), converged=False))
     amplified = w2[0, :d, d:] / lam
 
     step = 1e-5 * max(1.0, opnorm(u)) / max(opnorm(c), 1e-300)
@@ -507,7 +496,7 @@ def jc_probe(problem: SubordinationProblem, alpha, v, u, y_schedule,
                 tau = float(np.real(np.trace(imag_part(hq)) / n))
                 quotient.append(tau / y)
                 W = omega_limit + 1j * y * ell
-                block = _upper_block(W, lam * ell, W)
+                block = upper_block(W, lam * ell, W)
                 h2 = problem.h_map(block, 2)
                 hprime_norms.append(opnorm(h2[:n, n:] / lam))
             verdicts["quotient_bounded"] = trend_ok(quotient)

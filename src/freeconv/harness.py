@@ -149,8 +149,11 @@ def compare_density(emp: EmpiricalSpectrum, grid: DensityGrid) -> float:
     density, integrated to a CDF on the grid.
 
     The grid must cover the sampled spectrum with half a unit of margin so
-    that the predicted CDF has flattened out at both ends.
+    that the predicted CDF has flattened out at both ends, and must list no
+    failed points, whose density the CDF would count as zero.
     """
+    if grid.failures:
+        raise ValueError(f"density grid lists {len(grid.failures)} failed points")
     eigs = emp.eigenvalues
     lo, hi = float(grid.abscissae[0]), float(grid.abscissae[-1])
     if eigs[0] - 0.5 < lo or eigs[-1] + 0.5 > hi:

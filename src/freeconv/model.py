@@ -18,6 +18,7 @@ import numpy as np
 from .algebra import (
     HERMITIAN_TOL,
     POSITIVITY_TOL,
+    amplification_level,
     as_element,
     dag,
     identity_kron,
@@ -145,18 +146,14 @@ class OperatorModel:
     def cauchy(self, b: np.ndarray, level: int = 1) -> np.ndarray:
         return self.expect(self.resolvent(b, level), level)
 
+    def cauchy_stack(self, b_stack: np.ndarray, level: int = 1, cfg=None):
+        """(G values, converged mask) on a stack; a model needs no solve."""
+        return self.cauchy(b_stack, level), np.ones(len(b_stack), dtype=bool)
+
     def trace_b(self, b: np.ndarray) -> complex:
         """Normalized trace on B, the scalar state used for densities."""
         b = as_element(b, "trace argument")
         return complex(np.trace(b) / b.shape[0])
-
-
-def _infer_level(model: OperatorModel, b: np.ndarray) -> int:
-    d = b.shape[-1]
-    n = model.base_dim
-    if d % n:
-        raise ValueError(f"point of size {d} is not an amplification of base dimension {n}")
-    return d // n
 
 
 def cauchy_transform(model: OperatorModel, b, level: int | None = None) -> np.ndarray:
@@ -166,7 +163,7 @@ def cauchy_transform(model: OperatorModel, b, level: int | None = None) -> np.nd
     M_k(B) into the lower one and satisfies G(b*) = G(b)*.
     """
     b = as_element(b, "b")
-    k = _infer_level(model, b) if level is None else level
+    k = amplification_level(b, model.base_dim) if level is None else level
     if b.shape[-1] != k * model.base_dim:
         raise ValueError("level does not match the size of b")
     if not (in_halfplane(b, "upper", POSITIVITY_TOL)
@@ -178,7 +175,7 @@ def cauchy_transform(model: OperatorModel, b, level: int | None = None) -> np.nd
 def h_transform(model: OperatorModel, b, level: int | None = None) -> np.ndarray:
     """h(b) = G(b)^{-1} - b; has positive semidefinite imaginary part on the upper half-plane."""
     b = as_element(b, "b")
-    k = _infer_level(model, b) if level is None else level
+    k = amplification_level(b, model.base_dim) if level is None else level
     G = cauchy_transform(model, b, k)
     return np.linalg.inv(G) - b
 

@@ -2,8 +2,9 @@
 
 Matrices are stored entrywise as [re, im] pairs so files are valid JSON and
 diff cleanly; all writers sort keys and avoid timestamps, making repeated
-runs byte-identical.  CSV density sheets carry their provenance in leading
-comment lines.
+runs byte-identical.  Files are strict JSON: a non-finite number is written
+as null, and a null matrix entry is refused on reading.  CSV density sheets
+carry their provenance in leading comment lines and list failed points.
 """
 
 from __future__ import annotations
@@ -29,11 +30,16 @@ from .transforms import DensityGrid
 # ---------------------------------------------------------------------------
 
 
+def _finite_or_null(x: float) -> float | None:
+    return float(x) if np.isfinite(x) else None
+
+
 def matrix_to_json(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise ValueError("only 2d matrices serialize")
-    entries = [[[float(v.real), float(v.imag)] for v in row] for row in m]
+    entries = [[[_finite_or_null(v.real), _finite_or_null(v.imag)] for v in row]
+               for row in m]
     if m.shape[0] == m.shape[1]:
         return {"dim": m.shape[0], "entries": entries}
     return {"rows": m.shape[0], "cols": m.shape[1], "entries": entries}
@@ -50,6 +56,8 @@ def matrix_from_json(d: dict) -> np.ndarray:
     out = np.empty((rows, cols), dtype=complex)
     for i, row in enumerate(entries):
         for j, (re, im) in enumerate(row):
+            if re is None or im is None:
+                raise ValueError(f"matrix entry ({i}, {j}) is null, a non-finite value")
             out[i, j] = complex(re, im)
     return out
 
@@ -223,8 +231,20 @@ def jc_probe_to_json(result: JCProbeResult) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _strict(data):
+    """data with every non-finite float replaced by None."""
+    if isinstance(data, dict):
+        return {k: _strict(v) for k, v in data.items()}
+    if isinstance(data, (list, tuple)):
+        return [_strict(v) for v in data]
+    if isinstance(data, float):
+        return _finite_or_null(data)
+    return data
+
+
 def dump_json(data: dict, path) -> None:
-    Path(path).write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
+    text = json.dumps(_strict(data), sort_keys=True, indent=2, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def load_json(path) -> dict:
@@ -304,6 +324,7 @@ def density_from_csv(path) -> DensityGrid:
     """Load an extrapolated density sheet written by density_to_csv."""
     method = "loaded"
     epsilons: tuple[float, ...] = ()
+    failures: tuple[tuple[int, int], ...] = ()
     us, rhos = [], []
     for line in Path(path).read_text().splitlines():
         line = line.strip()
@@ -316,6 +337,10 @@ def density_from_csv(path) -> DensityGrid:
             elif body.startswith("epsilons:"):
                 epsilons = tuple(float(tok) for tok in
                                  body.split(":", 1)[1].split(",") if tok.strip())
+            elif body.startswith("failures:"):
+                failures = tuple((int(j), int(l)) for j, l in
+                                 (pair.split(",") for pair in
+                                  body.split(":", 1)[1].split(";") if pair.strip()))
             continue
         if line.startswith("u,"):
             continue
@@ -331,6 +356,7 @@ def density_from_csv(path) -> DensityGrid:
         raw=density[:, None],
         density=density,
         method=method,
+        failures=failures,
     )
 
 

@@ -32,6 +32,7 @@ from .algebra import (
     CPMap,
     HERMITIAN_TOL,
     POSITIVITY_TOL,
+    amplification_level,
     as_element,
     choi_minus_identity_min,
     dag,
@@ -139,6 +140,16 @@ class SubordinationProblem:
     def power(cls, model: OperatorModel, alpha: CPMap) -> "SubordinationProblem":
         return cls(model=model, alpha=alpha, variant="power")
 
+    @property
+    def base_dim(self) -> int:
+        return self.model.base_dim
+
+    def cauchy_stack(self, b_stack: np.ndarray, level: int = 1,
+                     cfg: SolverConfig = DEFAULT_CONFIG):
+        """(G values, converged mask): G(b) = G_X(omega(b)) after a batched solve."""
+        w, _, _, ok = solve_omega_stack(self, b_stack, cfg, level)
+        return self.model.cauchy(w, level), ok
+
     # -- the nonlinear part of the fixed-point map ------------------------
 
     def h_map(self, w: np.ndarray, level: int = 1) -> np.ndarray:
@@ -155,13 +166,6 @@ class SubordinationProblem:
         n = self.model.base_dim
         a = self.a if self.variant == "generic" else np.zeros((n, n), dtype=complex)
         return identity_kron(level, a)
-
-    def level_of(self, point: np.ndarray) -> int:
-        d = point.shape[-1]
-        n = self.model.base_dim
-        if d % n:
-            raise ValueError(f"point of size {d} is not an amplification of B (dim {n})")
-        return d // n
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +235,7 @@ def solve_omega_stack(problem: SubordinationProblem, b_stack: np.ndarray,
                       cfg: SolverConfig = DEFAULT_CONFIG, level: int | None = None):
     """Batched solve over a stack of upper half-plane points (shared level)."""
     b_stack = np.asarray(b_stack, dtype=complex)
-    k = problem.level_of(b_stack) if level is None else level
+    k = amplification_level(b_stack, problem.base_dim) if level is None else level
     step = _omega_step(problem, b_stack, k)
     w0 = b_stack if cfg.start is None else np.broadcast_to(
         np.asarray(cfg.start, dtype=complex), b_stack.shape).copy()
@@ -256,7 +260,7 @@ def residual_h(problem: SubordinationProblem, w, b) -> float:
     b = as_element(b, "b")
     if b.shape != w.shape:
         raise ValueError("w and b must live at the same amplification level")
-    k = problem.level_of(w)
+    k = amplification_level(w, problem.base_dim)
     Hw = w - problem.shift(k) - problem.h_map(w, k)
     return opnorm(Hw - b)
 
@@ -299,7 +303,7 @@ def solve_gq_stack(problem: SubordinationProblem, q_stack: np.ndarray,
     _require_generic(problem, "solve_vq")
     q_stack = np.asarray(q_stack, dtype=complex)
     u_stack = np.asarray(u_stack, dtype=complex)
-    k = problem.level_of(u_stack) if level is None else level
+    k = amplification_level(u_stack, problem.base_dim) if level is None else level
     d = u_stack.shape[-1]
     if cfg.start is None:
         v0 = np.broadcast_to(np.eye(d), u_stack.shape) + q_stack

@@ -3,12 +3,18 @@
 Provides Cauchy transforms of semicircular convolutions and convolution
 powers, numerical R-transforms, the scalar boundary curve of a measure, and
 spectral-density recovery on grids near the real axis.
+
+A Cauchy source is anything with ``base_dim`` and
+``cauchy_stack(b_stack, level, cfg) -> (G, converged mask)``: an
+OperatorModel, a SubordinationProblem (G(b) = G_X(omega(b))), and the
+SemicircularConvolution and ConvolutionPower wrappers, which delegate to
+their subordination problem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq
@@ -16,10 +22,14 @@ from scipy.optimize import brentq
 from .algebra import (
     CPMap,
     POSITIVITY_TOL,
+    amplification_level,
     as_element,
-    identity_kron,
+    c_scale,
+    imag_part,
+    linearize_on_basis,
     opnorm,
     require_halfplane,
+    upper_block,
     vec,
     unvec,
 )
@@ -30,7 +40,6 @@ from .subordination import (
     SolveReport,
     SolverConfig,
     SubordinationProblem,
-    solve_omega_stack,
 )
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -51,12 +60,11 @@ class SemicircularSpec:
         return cls(beta=CPMap.scaled_identity(t, dim))
 
 
-def _as_beta(beta, dim: int) -> CPMap:
-    if isinstance(beta, SemicircularSpec):
-        return beta.beta
-    if isinstance(beta, CPMap):
-        return beta
-    return CPMap.scaled_identity(float(beta), dim)
+def _as_cp_map(value, dim: int) -> CPMap:
+    """A CPMap as given, or a scalar t as t times the identity on B."""
+    if isinstance(value, CPMap):
+        return value
+    return CPMap.scaled_identity(float(value), dim)
 
 
 def semicircle_problem(model: OperatorModel, beta: CPMap) -> SubordinationProblem:
@@ -68,55 +76,40 @@ def semicircle_problem(model: OperatorModel, beta: CPMap) -> SubordinationProble
 
 @dataclass(frozen=True)
 class SemicircularConvolution:
-    """Cauchy-transform evaluator for base distribution plus free semicircular noise."""
+    """Cauchy-transform evaluator for a model plus free semicircular noise.
 
-    base: object      # OperatorModel or another evaluator
+    Free semicirculars add their covariances, so a semicircular convolution
+    of a semicircular convolution is flattened at construction to one over
+    the inner model, with the Kraus operators of both covariances.
+    """
+
+    base: OperatorModel
     beta: CPMap
 
     def __post_init__(self):
+        if not isinstance(self.base, (OperatorModel, SemicircularConvolution)):
+            raise TypeError("semicircular noise is added to an OperatorModel, "
+                            f"not {type(self.base).__name__}")
         if self.beta.in_dim != self.base_dim or self.beta.out_dim != self.base_dim:
             raise ValueError("covariance must act on B")
+        if isinstance(self.base, SemicircularConvolution):
+            summed = CPMap.from_kraus(self.base.beta.kraus + self.beta.kraus)
+            object.__setattr__(self, "beta", summed)
+            object.__setattr__(self, "base", self.base.base)
 
     @property
     def base_dim(self) -> int:
         return self.base.base_dim
 
-    def omega_stack(self, b_stack: np.ndarray, cfg: SolverConfig = DEFAULT_CONFIG,
-                    level: int = 1):
-        """Subordination values for a stack of points, with convergence mask."""
-        if isinstance(self.base, OperatorModel):
-            problem = semicircle_problem(self.base, self.beta)
-            w, _, _, ok = solve_omega_stack(problem, b_stack, cfg, level)
-            return w, ok
-        inner_cfg = replace(cfg, tol=cfg.tol * 0.1, start=None)
+    def norm_bound(self) -> float:
+        return self.base.norm_bound() + 2.0 * np.sqrt(self.beta.norm_bound())
 
-        def step(w, idx):
-            G, _ = _cauchy_stack(self.base, w, level, inner_cfg)
-            return b_stack[idx] - self.beta.apply(G, level)
-
-        from .subordination import _picard_stack
-        w, _, _, ok = _picard_stack(step, np.array(b_stack, dtype=complex), cfg)
-        if np.any(ok):
-            _, inner_ok = _cauchy_stack(self.base, w[ok], level, inner_cfg)
-            mask = ok.copy()
-            mask[np.where(ok)[0][~inner_ok]] = False
-            return w, mask
-        return w, ok
+    def problem(self) -> SubordinationProblem:
+        return semicircle_problem(self.base, self.beta)
 
     def cauchy_stack(self, b_stack: np.ndarray, level: int = 1,
                      cfg: SolverConfig = DEFAULT_CONFIG):
-        w, ok = self.omega_stack(b_stack, cfg, level)
-        G, ok2 = _cauchy_stack(self.base, w, level, cfg)
-        return G, ok & ok2
-
-    def cauchy(self, b, level: int = 1, cfg: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
-        b = as_element(b, "b")
-        G, ok = self.cauchy_stack(b[None], level, cfg)
-        if not ok[0]:
-            report = SolveReport(value=G[0], iterations=cfg.max_iter,
-                                 residual=float("nan"), converged=False)
-            raise ConvergenceError("semicircular convolution solve did not converge", report)
-        return G[0]
+        return self.problem().cauchy_stack(b_stack, level, cfg)
 
 
 @dataclass(frozen=True)
@@ -130,52 +123,31 @@ class ConvolutionPower:
     def base_dim(self) -> int:
         return self.base.base_dim
 
+    def norm_bound(self) -> float:
+        return self.base.norm_bound() * (1.0 + self.alpha.norm_bound())
+
     def problem(self) -> SubordinationProblem:
         return SubordinationProblem.power(self.base, self.alpha)
 
     def cauchy_stack(self, b_stack: np.ndarray, level: int = 1,
                      cfg: SolverConfig = DEFAULT_CONFIG):
-        w, _, _, ok = solve_omega_stack(self.problem(), b_stack, cfg, level)
-        return self.base.cauchy(w, level), ok
-
-    def cauchy(self, b, level: int = 1, cfg: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
-        b = as_element(b, "b")
-        G, ok = self.cauchy_stack(b[None], level, cfg)
-        if not ok[0]:
-            report = SolveReport(value=G[0], iterations=cfg.max_iter,
-                                 residual=float("nan"), converged=False)
-            raise ConvergenceError("convolution power solve did not converge", report)
-        return G[0]
+        return self.problem().cauchy_stack(b_stack, level, cfg)
 
 
-def _cauchy_stack(source, b_stack: np.ndarray, level: int, cfg: SolverConfig):
-    """(G values, converged mask) for a stack of points, any source kind."""
-    nbatch = b_stack.shape[0]
-    if isinstance(source, OperatorModel):
-        return source.cauchy(b_stack, level), np.ones(nbatch, dtype=bool)
-    if isinstance(source, (SemicircularConvolution, ConvolutionPower)):
-        return source.cauchy_stack(b_stack, level, cfg)
-    if isinstance(source, SubordinationProblem):
-        w, _, _, ok = solve_omega_stack(source, b_stack, cfg, level)
-        return source.model.cauchy(w, level), ok
-    raise TypeError(f"cannot evaluate a Cauchy transform of {type(source).__name__}")
+def _require_converged(G: np.ndarray, ok: np.ndarray, cfg: SolverConfig) -> None:
+    if not np.all(ok):
+        report = SolveReport(value=G[~ok][0], iterations=cfg.max_iter,
+                             residual=float("nan"), converged=False)
+        raise ConvergenceError("Cauchy transform evaluation did not converge", report)
 
 
 def cauchy_eval(source, b, cfg: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Cauchy transform of a model, convolution wrapper, or problem at one point."""
+    """Cauchy transform of any source at one point; the level is read from b."""
     b = as_element(b, "b")
-    if isinstance(source, SubordinationProblem):
-        n = source.model.base_dim
-    elif isinstance(source, (OperatorModel, SemicircularConvolution, ConvolutionPower)):
-        n = source.base_dim
-    else:
+    if not hasattr(source, "cauchy_stack"):
         raise TypeError(f"cannot evaluate a Cauchy transform of {type(source).__name__}")
-    level = b.shape[0] // n
-    G, ok = _cauchy_stack(source, b[None], level, cfg)
-    if not ok[0]:
-        report = SolveReport(value=G[0], iterations=cfg.max_iter,
-                             residual=float("nan"), converged=False)
-        raise ConvergenceError("Cauchy transform evaluation did not converge", report)
+    G, ok = source.cauchy_stack(b[None], amplification_level(b, source.base_dim), cfg)
+    _require_converged(G, ok, cfg)
     return G[0]
 
 
@@ -183,25 +155,22 @@ def semicircular_convolve_g(source, beta, b,
                             cfg: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
     """G of source plus a free semicircular element with covariance beta.
 
-    beta may be a CPMap on B, a SemicircularSpec, or a scalar variance t.
+    source is an OperatorModel or a SemicircularConvolution; beta may be a
+    CPMap on B, a SemicircularSpec, or a scalar variance t.
     """
-    n = source.base_dim if not isinstance(source, SubordinationProblem) \
-        else source.model.base_dim
-    conv = SemicircularConvolution(source, _as_beta(beta, n))
+    if isinstance(beta, SemicircularSpec):
+        beta = beta.beta
+    conv = SemicircularConvolution(source, _as_cp_map(beta, source.base_dim))
     b = require_halfplane(as_element(b, "b"), "upper", POSITIVITY_TOL, name="b")
-    level = b.shape[0] // n
-    return conv.cauchy(b, level, cfg)
+    return cauchy_eval(conv, b, cfg)
 
 
 def convolution_power_g(model: OperatorModel, alpha, b,
                         cfg: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
     """G of the free convolution power of a model, via subordination."""
-    if not isinstance(alpha, CPMap):
-        alpha = CPMap.scaled_identity(float(alpha), model.base_dim)
-    conv = ConvolutionPower(model, alpha)
+    conv = ConvolutionPower(model, _as_cp_map(alpha, model.base_dim))
     b = require_halfplane(as_element(b, "b"), "upper", POSITIVITY_TOL, name="b")
-    level = b.shape[0] // model.base_dim
-    return conv.cauchy(b, level, cfg)
+    return cauchy_eval(conv, b, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -209,37 +178,25 @@ def convolution_power_g(model: OperatorModel, alpha, b,
 # ---------------------------------------------------------------------------
 
 
-def _norm_bound(source) -> float:
-    if isinstance(source, OperatorModel):
-        return source.norm_bound()
-    if isinstance(source, SemicircularConvolution):
-        return _norm_bound(source.base) + 2.0 * np.sqrt(source.beta.norm_bound())
-    if isinstance(source, ConvolutionPower):
-        return _norm_bound(source.base) * (1.0 + source.alpha.norm_bound())
-    raise TypeError(f"no norm bound for {type(source).__name__}")
+def _cauchy_jacobian(source, w: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+    """Matrix of c -> DG(w)[c] on vec(B), from one batched evaluation at level 2.
 
-
-def _cauchy_derivative(source, w: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-    """Matrix of c -> d/dt G(w + t c) on vec(B), analytic for models."""
+    The (1, 2) block of G([[w, lam c], [0, w]]) is exactly lam DG(w)[c] for
+    the nc function G; lam keeps the block point in the half-plane of w.
+    """
     n = w.shape[0]
-    cols = []
-    if isinstance(source, OperatorModel):
-        R = source.resolvent(w)
-        for j in range(n):
-            for i in range(n):
-                E = np.zeros((n, n), dtype=complex)
-                E[i, j] = 1.0
-                cols.append(vec(-source.expect(R @ source.embed(E) @ R)))
-    else:
-        step = 1e-6
-        for j in range(n):
-            for i in range(n):
-                E = np.zeros((n, n), dtype=complex)
-                E[i, j] = 1.0
-                Gp = cauchy_eval(source, w + step * E, cfg)
-                Gm = cauchy_eval(source, w - step * E, cfg)
-                cols.append(vec((Gp - Gm) / (2.0 * step)))
-    return np.stack(cols, axis=1)
+    level = 2 * amplification_level(w, source.base_dim)
+    # a selfadjoint w has no half-plane to keep, and any lam serves a model
+    margin = float(np.min(np.abs(np.linalg.eigvalsh(imag_part(w))))) or 1.0
+
+    def batch(cs):
+        lams = c_scale(cs, margin, margin)[:, None, None]
+        ws = np.broadcast_to(w, cs.shape)
+        G, ok = source.cauchy_stack(upper_block(ws, lams * cs, ws), level, cfg)
+        _require_converged(G, ok, cfg)
+        return G[:, :n, n:] / lams
+
+    return linearize_on_basis(lambda c: None, n, batch=batch).matrix
 
 
 def r_transform_eval(source, g, cfg: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -250,19 +207,19 @@ def r_transform_eval(source, g, cfg: SolverConfig = DEFAULT_CONFIG) -> np.ndarra
     """
     g = as_element(g, "g")
     n = g.shape[0]
-    bound = _norm_bound(source)
+    if not hasattr(source, "norm_bound"):
+        raise TypeError(f"no norm bound for {type(source).__name__}")
+    bound = source.norm_bound()
     if opnorm(g) * (bound + 2.0) >= 0.5:
         raise ValueError("outside R-domain")
     ginv = np.linalg.inv(g)
     w = ginv.copy()
     inner_cfg = replace(cfg, tol=min(cfg.tol * 0.1, 1e-13), start=None)
     for _ in range(60):
-        G = cauchy_eval(source, w, inner_cfg) if not isinstance(source, OperatorModel) \
-            else source.cauchy(w)
-        F = G - g
+        F = cauchy_eval(source, w, inner_cfg) - g
         if opnorm(F) <= cfg.tol:
             return w - ginv
-        J = _cauchy_derivative(source, w, inner_cfg)
+        J = _cauchy_jacobian(source, w, inner_cfg)
         try:
             delta = unvec(np.linalg.solve(J, vec(F)), n)
         except np.linalg.LinAlgError as exc:
@@ -358,6 +315,28 @@ class DensityGrid:
 DENSITY_CONFIG = SolverConfig(damping=0.5)
 
 
+@dataclass(frozen=True)
+class _Pointwise:
+    """A bare callable z -> G(z) as a source at scalar points z; an exception
+    at a point marks it as not converged."""
+
+    g: Callable[[complex], np.ndarray]
+    base_dim: int = 1
+
+    def cauchy_stack(self, b_stack: np.ndarray, level: int = 1, cfg=None):
+        vals, ok = [], []
+        for b in b_stack:
+            try:
+                vals.append(as_element(self.g(b[0, 0]), "G(z)"))
+                ok.append(True)
+            except Exception:
+                vals.append(None)
+                ok.append(False)
+        n = next((v.shape[0] for v in vals if v is not None), 1)
+        out = np.stack([v if v is not None else np.full((n, n), np.nan) for v in vals])
+        return out, np.array(ok)
+
+
 def density_grid(source, abscissae, epsilons,
                  cfg: SolverConfig | None = None) -> DensityGrid:
     """Evaluate -(1/pi) Im tau(G(u + i eps)) on a grid and extrapolate to eps = 0.
@@ -375,45 +354,17 @@ def density_grid(source, abscissae, epsilons,
     if not eps or eps[-1] <= 0:
         raise ValueError("epsilons must be positive")
 
-    if callable(source) and not isinstance(
-            source, (OperatorModel, SemicircularConvolution, ConvolutionPower,
-                     SubordinationProblem)):
-        def evaluate(level_points):
-            vals, ok = [], []
-            for z in level_points:
-                try:
-                    G = source(z)
-                    vals.append(as_element(G, "G(z)"))
-                    ok.append(True)
-                except Exception:
-                    vals.append(None)
-                    ok.append(False)
-            n = next((v.shape[0] for v in vals if v is not None), 1)
-            out = np.stack([v if v is not None else np.full((n, n), np.nan)
-                            for v in vals])
-            return out, np.array(ok)
-
-        raw = np.empty((us.size, len(eps)))
-        failures = []
-        for l, e in enumerate(eps):
-            G, ok = evaluate(us + 1j * e)
-            tau = np.trace(G, axis1=-2, axis2=-1) / G.shape[-1]
-            raw[:, l] = -np.imag(tau) / np.pi
-            raw[~ok, l] = np.nan
-            failures.extend((int(j), l) for j in np.where(~ok)[0])
-    else:
-        n = source.base_dim if not isinstance(source, SubordinationProblem) \
-            else source.model.base_dim
-        eye = np.eye(n, dtype=complex)
-        raw = np.empty((us.size, len(eps)))
-        failures = []
-        for l, e in enumerate(eps):
-            b_stack = (us[:, None, None] + 1j * e) * eye
-            G, ok = _cauchy_stack(source, b_stack, 1, cfg)
-            tau = np.trace(G, axis1=-2, axis2=-1) / n
-            raw[:, l] = -np.imag(tau) / np.pi
-            raw[~ok, l] = np.nan
-            failures.extend((int(j), l) for j in np.where(~ok)[0])
+    if callable(source):
+        source = _Pointwise(source)
+    eye = np.eye(source.base_dim, dtype=complex)
+    raw = np.empty((us.size, len(eps)))
+    failures = []
+    for l, e in enumerate(eps):
+        G, ok = source.cauchy_stack((us[:, None, None] + 1j * e) * eye, 1, cfg)
+        tau = np.trace(G, axis1=-2, axis2=-1) / G.shape[-1]
+        raw[:, l] = -np.imag(tau) / np.pi
+        raw[~ok, l] = np.nan
+        failures.extend((int(j), l) for j in np.where(~ok)[0])
 
     if len(eps) >= 2:
         e1, e2 = eps[-2], eps[-1]

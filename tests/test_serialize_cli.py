@@ -63,6 +63,21 @@ def test_matrix_roundtrip():
         matrix_from_json(bad)
 
 
+def test_non_finite_values_are_written_as_strict_json(tmp_path):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    data = matrix_to_json(np.array([[np.nan]]))
+    assert json.loads(json.dumps(data), parse_constant=reject) == {
+        "dim": 1, "entries": [[[None, 0.0]]]}
+    with pytest.raises(ValueError, match="null"):
+        matrix_from_json(data)
+    out = tmp_path / "strict.json"
+    dump_json({"residual": float("inf"), "values": [1.0, float("nan")]}, out)
+    assert json.loads(out.read_text(), parse_constant=reject) == {
+        "residual": None, "values": [1.0, None]}
+
+
 def test_measure_and_cp_map_roundtrip():
     measure = ScalarMeasure(atoms=((-1.0, 0.25), (0.5, 0.75)))
     back = measure_from_json(measure_to_json(measure))
@@ -404,6 +419,23 @@ def test_cli_validate_rmt(fixtures, tmp_path, capsys):
     rc = run_command(["validate-rmt", "--ensemble", fixtures["ensemble.json"],
                       "--against", str(rho), "--threshold", "1e-6"])
     assert rc == 2
+
+
+def test_cli_validate_rmt_refuses_sheet_with_failures(fixtures, tmp_path, capsys):
+    us = np.linspace(-3.8, 3.8, 77)
+    dens = np.exp(-us ** 2 / 2) / np.sqrt(2 * np.pi)
+    raw = np.stack([dens, dens], axis=1)
+    raw[30, 1] = np.nan
+    dens[30] = np.nan
+    grid = DensityGrid(abscissae=us, epsilons=(2e-2, 1e-2), raw=raw, density=dens,
+                       method="richardson", failures=((30, 1),))
+    rho = tmp_path / "failed.csv"
+    density_to_csv(grid, rho)
+    assert density_from_csv(rho).failures == ((30, 1),)
+    rc = run_command(["validate-rmt", "--ensemble", fixtures["ensemble.json"],
+                      "--against", str(rho)])
+    assert rc == 1
+    assert "failed points" in capsys.readouterr().err
 
 
 def test_cli_input_error_paths(fixtures, tmp_path):

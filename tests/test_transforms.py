@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freeconv import (
     CPMap,
     ConvergenceError,
+    OperatorModel,
     ScalarMeasure,
     SemicircularConvolution,
     SolverConfig,
@@ -16,6 +18,7 @@ from freeconv import (
     scalar_to_model,
     semicircular_convolve_g,
 )
+from freeconv.algebra import direct_sum, imag_part
 from freeconv.transforms import ConvolutionPower, DensityGrid, semicircle_problem
 
 from _oracles import (
@@ -26,7 +29,7 @@ from _oracles import (
     semicircle_density,
     semicircle_g,
 )
-from helpers import random_upper
+from helpers import random_model, random_problem, random_upper
 
 
 def point_model():
@@ -56,6 +59,14 @@ def test_semicircular_semigroup_through_wrapper():
         G_nested = semicircular_convolve_g(inner, 0.7, np.array([[z]]))
         G_direct = semicircular_convolve_g(model, 1.3, np.array([[z]]))
         assert abs(G_nested[0, 0] - G_direct[0, 0]) <= 1e-10
+    nested = SemicircularConvolution(inner, CPMap.scaled_identity(0.7, 1))
+    assert nested.base is model
+    problem = semicircle_problem(model, CPMap.scaled_identity(1.0, 1))
+    with pytest.raises(TypeError):
+        semicircular_convolve_g(problem, 0.5, np.array([[2j]]))
+    power = ConvolutionPower(model, CPMap.scaled_identity(2.0, 1))
+    with pytest.raises(TypeError):
+        SemicircularConvolution(power, CPMap.scaled_identity(0.5, 1))
 
 
 def test_convolution_power_matches_arcsine():
@@ -76,6 +87,48 @@ def test_cauchy_eval_dispatch_and_nonconvergence():
         cauchy_eval(prob, b, SolverConfig(max_iter=1))
     with pytest.raises(TypeError):
         cauchy_eval("not a source", b)
+    with pytest.raises(ValueError, match="not an amplification of B"):
+        cauchy_eval(OperatorModel.partial_trace(np.eye(4), 2), 1j * np.eye(3))
+
+
+def _sources():
+    rng = np.random.default_rng(11)
+    model = random_model(rng, 2, 2)
+    beta = CPMap.scaled_identity(0.4, 2)
+    return {
+        "model": model,
+        "problem": random_problem(rng, 2, 2),
+        "semicircular": SemicircularConvolution(model, beta),
+        "power": ConvolutionPower(model, CPMap.scaled_identity(1.5, 2)),
+        "nested-semicircular": SemicircularConvolution(
+            SemicircularConvolution(model, beta), CPMap.scaled_identity(0.3, 2)),
+    }
+
+
+SOURCES = _sources()
+
+
+@st.composite
+def upper_points(draw, n: int = 2):
+    """Points of M_n(C) with Im >= margin, margin >= 0.3, and bounded size."""
+    entries = draw(st.lists(st.floats(-1.0, 1.0), min_size=4 * n * n, max_size=4 * n * n))
+    A = np.reshape(entries[:2 * n * n], (2, n, n))
+    C = np.reshape(entries[2 * n * n:], (2, n, n))
+    A, C = A[0] + 1j * A[1], C[0] + 1j * C[1]
+    margin = draw(st.floats(0.3, 2.0))
+    return (A + A.conj().T) / 2 + 1j * (margin * np.eye(n) + C @ C.conj().T / (2 * n))
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+@settings(max_examples=10, deadline=None, database=None)
+@given(b1=upper_points(), b2=upper_points())
+def test_cauchy_sources_map_halfplanes_and_respect_direct_sums(name, b1, b2):
+    source = SOURCES[name]
+    G1, G2 = cauchy_eval(source, b1), cauchy_eval(source, b2)
+    for G in (G1, G2):
+        assert np.max(np.linalg.eigvalsh(imag_part(G))) < 0
+    G12 = cauchy_eval(source, direct_sum(b1, b2))
+    assert np.max(np.abs(G12 - direct_sum(G1, G2))) <= 1e-10
 
 
 def test_r_transform_closed_forms():
