@@ -11,6 +11,7 @@ with finitely many atoms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -138,12 +139,46 @@ class OperatorModel:
     def norm_bound(self) -> float:
         return opnorm(self.X)
 
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues, eigenvectors) of X, computed on first use and kept
+        read-only, since every later call shares them."""
+        lam, U = np.linalg.eigh(self.X)
+        lam.flags.writeable = U.flags.writeable = False
+        return lam, U
+
+    def spectral_sum(self, c: np.ndarray, b: np.ndarray, level: int = 1) -> np.ndarray:
+        """sum_j c_j (b - lambda_j)^{-1} over the eigenvalues lambda_j of X.
+
+        b is a (stacked) point of M_k(C); at level 1 each term is a scalar
+        division, at level k > 1 one k x k inverse per eigenvalue.  With
+        base_dim 1 the Cauchy transform and the generic nonlinearity of a
+        subordination problem have this form.
+        """
+        lam = self.spectrum[0]
+        b = np.asarray(b, dtype=complex)
+        if b.shape[-1] != level or b.shape[-2] != level:
+            raise ValueError(f"spectral sum input shape {b.shape} does not match level {level}")
+        if level == 1:
+            return ((1.0 / (b - lam)) @ c)[..., None]
+        R = np.linalg.inv(b[..., None, :, :] - lam[:, None, None] * np.eye(level))
+        return np.einsum("j,...jpq->...pq", c, R)
+
+    @cached_property
+    def _cauchy_weights(self) -> np.ndarray:
+        """p_j = E(u_j u_j*) for the eigenvectors u_j of X (base_dim 1)."""
+        return self.weights @ np.abs(self.spectrum[1]) ** 2
+
     def resolvent(self, b: np.ndarray, level: int = 1) -> np.ndarray:
         """(b - X otimes 1_k)^{-1}, batched over leading axes of b."""
         Xk = identity_kron(level, self.X)
         return np.linalg.inv(self.embed(b) - Xk)
 
     def cauchy(self, b: np.ndarray, level: int = 1) -> np.ndarray:
+        """(E otimes Id_k)[(b - X otimes 1_k)^{-1}]; a scalar base sums over
+        the spectrum of X, a larger base inverts the dense resolvent."""
+        if self.base_dim == 1:
+            return self.spectral_sum(self._cauchy_weights, b, level)
         return self.expect(self.resolvent(b, level), level)
 
     def cauchy_stack(self, b_stack: np.ndarray, level: int = 1, cfg=None):

@@ -23,7 +23,8 @@ the associated right inverse of r -> Re omega(r + iq) on the real axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -152,9 +153,22 @@ class SubordinationProblem:
 
     # -- the nonlinear part of the fixed-point map ------------------------
 
+    @cached_property
+    def _eta_weights(self) -> np.ndarray:
+        """c_j = eta(u_j u_j*) for the eigenvectors u_j of X (base_dim 1)."""
+        KU = np.stack(self.eta.kraus) @ self.model.spectrum[1]
+        return np.sum(np.abs(KU) ** 2, axis=(0, 1))
+
     def h_map(self, w: np.ndarray, level: int = 1) -> np.ndarray:
-        """Evaluate the problem's nonlinearity on a (stacked) half-plane point."""
+        """Evaluate the problem's nonlinearity on a (stacked) half-plane point.
+
+        Over a scalar base the generic eta[(X - w)^{-1}] is the spectral sum
+        -sum_j c_j (w - lambda_j)^{-1}; a larger base inverts the dense
+        resolvent and applies eta's Kraus operators.
+        """
         if self.variant == "generic":
+            if self.base_dim == 1:
+                return -self.model.spectral_sum(self._eta_weights, w, level)
             Xk = identity_kron(level, self.model.X)
             R = np.linalg.inv(Xk - self.model.embed(w))
             return self.eta.apply(R, level)

@@ -13,7 +13,7 @@ their subordination problem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -80,11 +80,13 @@ class SemicircularConvolution:
 
     Free semicirculars add their covariances, so a semicircular convolution
     of a semicircular convolution is flattened at construction to one over
-    the inner model, with the Kraus operators of both covariances.
+    the inner model, with the Kraus operators of both covariances.  The
+    subordination problem is built once, at construction.
     """
 
     base: OperatorModel
     beta: CPMap
+    _problem: SubordinationProblem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.base, (OperatorModel, SemicircularConvolution)):
@@ -96,6 +98,7 @@ class SemicircularConvolution:
             summed = CPMap.from_kraus(self.base.beta.kraus + self.beta.kraus)
             object.__setattr__(self, "beta", summed)
             object.__setattr__(self, "base", self.base.base)
+        object.__setattr__(self, "_problem", semicircle_problem(self.base, self.beta))
 
     @property
     def base_dim(self) -> int:
@@ -105,19 +108,25 @@ class SemicircularConvolution:
         return self.base.norm_bound() + 2.0 * np.sqrt(self.beta.norm_bound())
 
     def problem(self) -> SubordinationProblem:
-        return semicircle_problem(self.base, self.beta)
+        return self._problem
 
     def cauchy_stack(self, b_stack: np.ndarray, level: int = 1,
                      cfg: SolverConfig = DEFAULT_CONFIG):
-        return self.problem().cauchy_stack(b_stack, level, cfg)
+        return self._problem.cauchy_stack(b_stack, level, cfg)
 
 
 @dataclass(frozen=True)
 class ConvolutionPower:
-    """Cauchy-transform evaluator for a free convolution power of a model."""
+    """Cauchy-transform evaluator for a free convolution power of a model;
+    the subordination problem (and its check of alpha - Id) is built once,
+    at construction."""
 
     base: OperatorModel
     alpha: CPMap
+    _problem: SubordinationProblem = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_problem", SubordinationProblem.power(self.base, self.alpha))
 
     @property
     def base_dim(self) -> int:
@@ -127,11 +136,11 @@ class ConvolutionPower:
         return self.base.norm_bound() * (1.0 + self.alpha.norm_bound())
 
     def problem(self) -> SubordinationProblem:
-        return SubordinationProblem.power(self.base, self.alpha)
+        return self._problem
 
     def cauchy_stack(self, b_stack: np.ndarray, level: int = 1,
                      cfg: SolverConfig = DEFAULT_CONFIG):
-        return self.problem().cauchy_stack(b_stack, level, cfg)
+        return self._problem.cauchy_stack(b_stack, level, cfg)
 
 
 def _require_converged(G: np.ndarray, ok: np.ndarray, cfg: SolverConfig) -> None:
@@ -141,11 +150,15 @@ def _require_converged(G: np.ndarray, ok: np.ndarray, cfg: SolverConfig) -> None
         raise ConvergenceError("Cauchy transform evaluation did not converge", report)
 
 
+def _require_source(source) -> None:
+    if not hasattr(source, "cauchy_stack"):
+        raise TypeError(f"cannot evaluate a Cauchy transform of {type(source).__name__}")
+
+
 def cauchy_eval(source, b, cfg: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Cauchy transform of any source at one point; the level is read from b."""
     b = as_element(b, "b")
-    if not hasattr(source, "cauchy_stack"):
-        raise TypeError(f"cannot evaluate a Cauchy transform of {type(source).__name__}")
+    _require_source(source)
     G, ok = source.cauchy_stack(b[None], amplification_level(b, source.base_dim), cfg)
     _require_converged(G, ok, cfg)
     return G[0]
@@ -356,6 +369,7 @@ def density_grid(source, abscissae, epsilons,
 
     if callable(source):
         source = _Pointwise(source)
+    _require_source(source)
     eye = np.eye(source.base_dim, dtype=complex)
     raw = np.empty((us.size, len(eps)))
     failures = []

@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freeconv import (
+    CPMap,
     MomentRequest,
     OperatorModel,
     ScalarMeasure,
+    SubordinationProblem,
     cauchy_transform,
     h_transform,
     moment,
     moment_growth_bound,
     scalar_to_model,
 )
-from freeconv.algebra import dag, imag_part, opnorm
+from freeconv.algebra import dag, identity_kron, imag_part, opnorm
 
 from helpers import random_hermitian, random_model, random_psd, random_upper
 
@@ -115,6 +118,40 @@ def test_cauchy_level_consistency():
     lifted = np.kron(np.eye(2), b)
     G2 = model.cauchy(lifted, 2)
     assert np.allclose(G2, np.kron(np.eye(2), model.cauchy(b, 1)), atol=1e-12)
+
+
+@st.composite
+def scalar_base_problems(draw):
+    """A generic problem over a scalar base: X with repeated eigenvalues (N <= 12)
+    and non-uniform weights from scalar_to_model, possibly rotated, and eta
+    with 1-3 Kraus rows of shape 1 x N; plus a seed for the points."""
+    N = draw(st.integers(1, 12))
+    levels = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=N))
+    mass = draw(st.lists(st.floats(0.05, 1.0), min_size=N, max_size=N))
+    weights = np.array(mass) / np.sum(mass)
+    atoms = tuple((levels[s % len(levels)], float(w)) for s, w in enumerate(weights))
+    model = scalar_to_model(ScalarMeasure(atoms))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        V = np.linalg.qr(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))[0]
+        model = OperatorModel(X=V @ model.X @ dag(V), base_dim=1, weights=model.weights)
+    kraus = [rng.standard_normal((1, N)) + 1j * rng.standard_normal((1, N))
+             for _ in range(draw(st.integers(1, 3)))]
+    eta = CPMap.from_kraus(kraus, to_base=True)
+    return SubordinationProblem.generic(model, eta), rng
+
+
+@pytest.mark.parametrize("level", [1, 2])
+@settings(max_examples=20, deadline=None, database=None)
+@given(drawn=scalar_base_problems())
+def test_scalar_base_spectral_sums_match_dense_resolvents(level, drawn):
+    problem, rng = drawn
+    model, eta = problem.model, problem.eta
+    b = np.stack([random_upper(rng, level) for _ in range(3)])
+    G_dense = model.expect(model.resolvent(b, level), level)
+    h_dense = eta.apply(np.linalg.inv(identity_kron(level, model.X) - model.embed(b)), level)
+    for got, want in ((model.cauchy(b, level), G_dense), (problem.h_map(b, level), h_dense)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_resolvent_identity():

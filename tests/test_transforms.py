@@ -67,6 +67,9 @@ def test_semicircular_semigroup_through_wrapper():
     power = ConvolutionPower(model, CPMap.scaled_identity(2.0, 1))
     with pytest.raises(TypeError):
         SemicircularConvolution(power, CPMap.scaled_identity(0.5, 1))
+    # each wrapper builds its subordination problem once
+    assert nested.problem() is nested.problem()
+    assert power.problem() is power.problem()
 
 
 def test_convolution_power_matches_arcsine():
@@ -212,6 +215,8 @@ def test_density_grid_single_epsilon_and_validation():
         density_grid(prob, us, ())
     with pytest.raises(ValueError):
         density_grid(prob, us, (1e-3, -1e-4))
+    with pytest.raises(TypeError, match="str"):
+        density_grid("x", us, (1e-2,))
 
 
 def test_density_grid_callable_source_records_failures():
