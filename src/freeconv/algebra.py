@@ -51,10 +51,6 @@ def opnorm_stack(x: np.ndarray) -> np.ndarray:
     return np.linalg.svd(x, compute_uv=False)[..., 0]
 
 
-def frob_stack(x: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(x, axis=(-2, -1))
-
-
 def is_hermitian(x: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     x = as_element(x)
     return opnorm(x - dag(x)) <= tol * (1.0 + opnorm(x))
@@ -273,13 +269,15 @@ def choi_minus_identity_min(alpha: CPMap, tol: float = HERMITIAN_TOL) -> float:
 
 
 def vec(c: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization (E_ij basis, row index fastest)."""
+    """Column-stacking vectorization (E_ij basis, row index fastest),
+    batched over leading axes."""
     c = np.asarray(c, dtype=complex)
-    return c.T.reshape(-1)
+    return np.swapaxes(c, -1, -2).reshape(c.shape[:-2] + (-1,))
 
 
 def unvec(v: np.ndarray, n: int) -> np.ndarray:
-    return np.asarray(v, dtype=complex).reshape(n, n).T
+    v = np.asarray(v, dtype=complex)
+    return np.swapaxes(v.reshape(v.shape[:-1] + (n, n)), -1, -2)
 
 
 def matrix_units(n: int) -> np.ndarray:

@@ -13,7 +13,16 @@ selfadjoint shift a; the convolution-power variant iterates
 for a completely positive alpha on B with alpha - Id completely positive.
 Both maps send the upper half-plane strictly inside itself, so damped Picard
 iteration from w = b converges; damping 0.5 is useful near the boundary where
-the contraction factor approaches an oscillation.
+the contraction factor approaches an oscillation.  Near a spectral edge the
+contraction factor tends to 1 and Picard needs about y^(-1/2) steps at height
+y, so a solve that has taken 6 (1 + 8 d^2) Picard steps on a d x d point
+without converging (about the cost of one Newton solve) switches to Newton
+steps, with the derivative of the nonlinearity read from the 2x2 upper
+triangular amplification.  The fixed point in the upper half-plane is unique,
+so a Newton iterate that stays there and passes the same residual test is
+that fixed point; a damped Picard step stands in for any Newton step that
+would leave the half-plane or that follows one which did not lower the
+residual.  The v_q solve stays on Picard.
 
 The auxiliary map g_q(u, v) = q + eta[((X-u) v^{-1} (X-u) + v)^{-1}] has, for
 each selfadjoint u and positive q, a unique positive fixed point v_q(u); the
@@ -37,26 +46,32 @@ from .algebra import (
     as_element,
     choi_minus_identity_min,
     dag,
-    frob_stack,
     identity_kron,
     imag_part,
     is_strictly_positive,
+    matrix_units,
     opnorm,
     opnorm_stack,
     real_part,
     require_halfplane,
     require_hermitian,
+    unvec,
+    upper_block,
+    vec,
 )
 from .model import OperatorModel
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Damped Picard iteration settings.
+    """Fixed-point iteration settings.
 
     Convergence is declared on the residual of the fixed-point equation, not
     on step size.  start, when given, replaces the default initial point (b
-    itself for subordination solves, q + 1 for v_q solves).
+    itself for subordination solves, q + 1 for v_q solves).  Subordination
+    solves on a d x d point switch from Picard to Newton steps after
+    6 (1 + 8 d^2) steps without converging; max_iter counts both kinds of
+    step, and damping applies to the Picard steps only.
     """
 
     tol: float = 1e-12
@@ -183,46 +198,104 @@ class SubordinationProblem:
 
 
 # ---------------------------------------------------------------------------
-# Damped Picard driver (stacked)
+# Fixed-point driver (stacked): damped Picard, then safeguarded Newton
 # ---------------------------------------------------------------------------
 
 
+def _newton_budget(d: int) -> int:
+    """Picard steps after which an unconverged d x d entry switches to Newton.
+
+    One Newton step costs one level-k evaluation plus d^2 directional
+    derivatives at level 2k, each about 8 level-k evaluations since the work
+    is cubic, and about six Newton steps finish a solve.  Switching once
+    Picard has spent that much bounds the loss at about 2x when Newton was
+    not needed (a ski-rental rule).
+    """
+    return 6 * (1 + 8 * d * d)
+
+
+def _newton_points(derivative, w: np.ndarray, diff: np.ndarray,
+                   idx: np.ndarray) -> np.ndarray:
+    """w + (I - Dstep(w))^{-1} (step(w) - w) per entry; NaN where singular."""
+    A = np.eye(diff.shape[-1] ** 2) - derivative(w, idx)
+    rhs = vec(diff)[..., None]
+    try:
+        x = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError:
+        x = np.full_like(rhs, np.nan)
+        for i in range(len(A)):
+            try:
+                x[i] = np.linalg.solve(A[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+    return w + unvec(x[..., 0], w.shape[-1])
+
+
+def _in_upper_halfplane(w: np.ndarray) -> np.ndarray:
+    """Mask of the finite entries of a stack with Im w positive definite."""
+    ok = np.all(np.isfinite(w), axis=(-2, -1))
+    ok[ok] = np.linalg.eigvalsh(imag_part(w[ok]))[:, 0] > 0
+    return ok
+
+
 def _picard_stack(step: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                  w0: np.ndarray, cfg: SolverConfig):
-    """Iterate w <- (1 - damping) step(w) + damping w entrywise on a batch.
+                  w0: np.ndarray, cfg: SolverConfig,
+                  derivative: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None):
+    """Solve w = step(w) entrywise on a batch.
 
     step(w_active, idx) evaluates the fixed-point map on the active subset;
     idx holds the original batch indices so that closures can slice their
     constants.  Entries freeze at the first iterate whose equation residual
     drops below tol (Frobenius test, spectral norm reported).
+
+    Steps are damped Picard steps w <- (1 - damping) step(w) + damping w.
+    When derivative(w_active, idx) is given (the Jacobian of step on vec(M_d)
+    as a stack of d^2 x d^2 matrices), an entry still unconverged after
+    _newton_budget(d) steps takes Newton steps
+    w <- w + (I - Dstep(w))^{-1} (step(w) - w) instead.  A damped Picard step
+    replaces the Newton step when the candidate is not in the upper
+    half-plane or the linear system is singular, and when the previous
+    Newton step did not lower the residual.  max_iter counts both kinds.
     """
     w = np.array(w0, dtype=complex)
     nbatch = w.shape[0]
-    iterations = np.zeros(nbatch, dtype=np.int64)
+    iterations = np.full(nbatch, cfg.max_iter, dtype=np.int64)
     residual = np.full(nbatch, np.inf)
     converged = np.zeros(nbatch, dtype=bool)
+    budget = cfg.max_iter if derivative is None else _newton_budget(w.shape[-1])
+    tol2 = cfg.tol * cfg.tol
     active = np.arange(nbatch)
-    diff = None
+    wa = w.copy()                  # iterates of the active entries
+    before = np.full(nbatch, np.inf)   # squared residual before the last Newton step
     for it in range(1, cfg.max_iter + 1):
-        fw = step(w[active], active)
-        diff = fw - w[active]
-        res = frob_stack(diff)
-        iterations[active] = it
-        done = res <= cfg.tol
-        if np.any(done):
+        fw = step(wa, active)
+        diff = fw - wa
+        res2 = np.sum(diff.real ** 2 + diff.imag ** 2, axis=(-2, -1))
+        done = res2 <= tol2
+        if done.any():
             sel = active[done]
+            iterations[sel] = it
             residual[sel] = opnorm_stack(diff[done])
             converged[sel] = True
-        rest = ~done
-        if np.any(rest):
-            sel = active[rest]
-            w[sel] = (1.0 - cfg.damping) * fw[rest] + cfg.damping * w[sel]
-        active = active[rest]
-        if active.size == 0:
-            break
+            w[sel] = wa[done]
+            rest = ~done
+            active, wa, fw, diff, res2, before = (
+                x[rest] for x in (active, wa, fw, diff, res2, before))
+            if active.size == 0:
+                break
+        nxt = (1.0 - cfg.damping) * fw + cfg.damping * wa
+        if it > budget:
+            newton = np.flatnonzero(res2 < before)
+            before = np.full(active.size, np.inf)
+            if newton.size:
+                cand = _newton_points(derivative, wa[newton], diff[newton], active[newton])
+                ok = _in_upper_halfplane(cand)
+                nxt[newton[ok]] = cand[ok]
+                before[newton[ok]] = res2[newton[ok]]
+        wa = nxt
     if active.size:
-        fw = step(w[active], active)
-        residual[active] = opnorm_stack(fw - w[active])
+        w[active] = wa
+        residual[active] = opnorm_stack(step(wa, active) - wa)
     return w, iterations, residual, converged
 
 
@@ -245,6 +318,25 @@ def _omega_step(problem: SubordinationProblem, b_stack: np.ndarray, level: int):
     return step
 
 
+def _omega_derivative(problem: SubordinationProblem, level: int):
+    """Jacobian of the fixed-point map on vec(M_d), d = n k at level k.
+
+    Dh(w)[E_ij] is the top-right block of h at [[w, E_ij], [0, w]]: one
+    batched h_map call at level 2k over the matrix units serves every variant.
+    """
+    d = problem.base_dim * level
+    units = matrix_units(d)
+
+    def derivative(w, idx):
+        m = len(w)
+        wb = np.broadcast_to(w[:, None], (m, d * d, d, d))
+        blocks = upper_block(wb, units, wb).reshape(m * d * d, 2 * d, 2 * d)
+        top = problem.h_map(blocks, 2 * level)[:, :d, d:]
+        return np.swapaxes(vec(top.reshape(m, d * d, d, d)), -1, -2)
+
+    return derivative
+
+
 def solve_omega_stack(problem: SubordinationProblem, b_stack: np.ndarray,
                       cfg: SolverConfig = DEFAULT_CONFIG, level: int | None = None):
     """Batched solve over a stack of upper half-plane points (shared level)."""
@@ -253,7 +345,7 @@ def solve_omega_stack(problem: SubordinationProblem, b_stack: np.ndarray,
     step = _omega_step(problem, b_stack, k)
     w0 = b_stack if cfg.start is None else np.broadcast_to(
         np.asarray(cfg.start, dtype=complex), b_stack.shape).copy()
-    return _picard_stack(step, w0, cfg)
+    return _picard_stack(step, w0, cfg, _omega_derivative(problem, k))
 
 
 def solve_omega(problem: SubordinationProblem, b,

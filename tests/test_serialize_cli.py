@@ -390,6 +390,20 @@ def test_cli_jc_probe(fixtures, tmp_path):
     assert rc == 2
 
 
+def test_cli_jc_probe_semicircle_edge_at_default_max_iter(fixtures, tmp_path):
+    # the last height, y = 1e-6 at the edge alpha = 2, needs 27 710 Picard
+    # steps; Newton steps finish it inside the default max_iter
+    out = tmp_path / "edge.json"
+    rc = run_command(["jc-probe", "--problem", fixtures["gamma.json"],
+                      "--alpha", "2", "--schedule", "1,1e-1,1e-2,1e-3,1e-4,1e-5,1e-6",
+                      "--damping", "0.5", "--out", str(out)])
+    assert rc == 0
+    data = load_json(out)
+    assert data["provenance"]["config"]["solver"]["max_iter"] == SolverConfig().max_iter
+    assert data["probe"]["applicable"] is True
+    assert all(data["probe"]["verdicts"].values())
+
+
 def test_cli_axioms(fixtures, tmp_path, capsys):
     out = tmp_path / "axioms.json"
     rc = run_command(["axioms", "--problem", fixtures["gamma.json"],

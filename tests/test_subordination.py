@@ -3,6 +3,7 @@ import pytest
 
 from freeconv import (
     CPMap,
+    OperatorModel,
     ScalarMeasure,
     SolverConfig,
     SubordinationProblem,
@@ -14,11 +15,12 @@ from freeconv import (
     solve_omega_stack,
     solve_vq,
 )
-from freeconv.algebra import imag_part, opnorm, real_part
-from freeconv.transforms import semicircle_problem
+from freeconv.algebra import imag_part, opnorm, real_part, unvec, vec
+from freeconv.subordination import _omega_derivative, _picard_stack
+from freeconv.transforms import ConvolutionPower, semicircle_problem
 
-from _oracles import point_gamma_omega, point_vq_at_zero
-from helpers import random_hermitian, random_problem, random_upper
+from _oracles import arcsine2_g, point_gamma_omega, point_vq_at_zero, semicircle_g
+from helpers import random_hermitian, random_model, random_problem, random_upper
 
 
 def point_gamma_problem(t: float = 1.0):
@@ -110,6 +112,113 @@ def test_non_convergence_is_reported_not_raised():
     assert not rep.converged
     assert rep.iterations == 2
     assert np.isfinite(rep.residual)
+
+
+def _edge_cases():
+    """(problem, b, closed-form omega, closed-form G) at the edge of the
+    spectrum, b = alpha + i y v, for three problems with known transforms."""
+    c = 0.3
+    point = semicircle_problem(scalar_to_model(ScalarMeasure.point(c)),
+                               CPMap.scaled_identity(1.0, 1))
+    # alpha = 2: omega + 1/omega = z, the same quadratic as the point mass
+    bern = ConvolutionPower(scalar_to_model(ScalarMeasure.symmetric_bernoulli()),
+                            CPMap.scaled_identity(2.0, 1)).problem()
+    # c 1_2 plus the M_2 semicircle with covariance Id is diagonal along a
+    # diagonal approach: each entry is a shifted point-mass problem
+    m2 = semicircle_problem(OperatorModel.partial_trace(c * np.eye(2), 2),
+                            CPMap.scaled_identity(1.0, 2))
+    v = np.array([1.0, 0.5])
+    for y in (1e-2, 1e-4, 1e-6):
+        z = c + 2.0 + 1j * y
+        yield point, np.array([[z]]), point_gamma_omega(z - c) + c, semicircle_g(z - c)
+        z = 2.0 + 1j * y
+        yield bern, np.array([[z]]), point_gamma_omega(z), arcsine2_g(z)
+        z = c + 2.0 + 1j * y * v
+        yield m2, np.diag(z), np.diag(point_gamma_omega(z - c) + c), np.diag(semicircle_g(z - c))
+
+
+@pytest.mark.parametrize("damping", [0.0, 0.5])
+def test_cold_solves_at_the_spectral_edge_match_closed_forms(damping):
+    for prob, b, omega, g in _edge_cases():
+        rep = solve_omega(prob, b, SolverConfig(damping=damping))
+        assert rep.converged and rep.iterations <= 400
+        assert np.max(np.abs(rep.value - omega)) <= 1e-10
+        G = prob.model.cauchy(rep.value)
+        assert np.max(np.abs(G - g)) <= 1e-7 * np.max(np.abs(g))
+
+
+def test_fast_solves_take_only_picard_steps():
+    # at Im b = 0.5 every entry converges before its Newton budget (438
+    # steps at d = 3), so the driver is plain Picard; a strong eta makes
+    # them take 41-64 steps
+    rng = np.random.default_rng(18)
+    prob = random_problem(rng, n=3, m=2, strength=8.0)
+    bs = np.stack([random_hermitian(rng, 3) + 0.5j * np.eye(3) for _ in range(3)])
+    w, iters, _, ok = solve_omega_stack(prob, bs)
+    assert ok.all()
+    for k, b in enumerate(bs):
+        x = b.copy()
+        for it in range(1, 439):
+            fx = b + prob.shift() + prob.h_map(x[None])[0]
+            if np.linalg.norm(fx - x) <= 1e-12:
+                break
+            x = fx
+        assert it < 438 and iters[k] == it
+        assert np.max(np.abs(w[k] - x)) <= 1e-14
+
+
+def test_omega_derivative_matches_difference_quotients():
+    rng = np.random.default_rng(19)
+    bern = scalar_to_model(ScalarMeasure.symmetric_bernoulli())
+    cases = [
+        (random_problem(rng, n=2, m=2), 1),
+        (SubordinationProblem.power(random_model(rng, 2, 2), CPMap.scaled_identity(2.0, 2)), 1),
+        (random_problem(rng, n=1, m=3), 2),
+        (SubordinationProblem.power(bern, CPMap.scaled_identity(1.5, 1)), 2),
+    ]
+    t = 1e-5
+    for prob, level in cases:
+        d = prob.base_dim * level
+        w = random_upper(rng, d)
+        J = _omega_derivative(prob, level)(w[None], np.arange(1))[0]
+        for _ in range(3):
+            c = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            quotient = (prob.h_map(w + t * c, level) - prob.h_map(w - t * c, level)) / (2 * t)
+            assert opnorm(unvec(J @ vec(c), d) - quotient) <= 1e-7 * (1 + opnorm(quotient))
+
+
+def test_newton_safeguard_falls_back_to_damped_picard():
+    # point mass at 0 plus the semicircle near its edge: Picard takes 346
+    # steps, past the Newton budget of 54 at d = 1
+    b = np.array([[[2.0 + 1e-2j]]])
+
+    def step(w, idx):
+        return b[idx] - 1.0 / w
+
+    cfg = SolverConfig(damping=0.5)
+    picard = _picard_stack(step, b, cfg)
+    assert picard[3][0] and picard[1][0] > 54
+
+    def singular(w, idx):
+        return np.ones((len(w), 1, 1))
+
+    def to_lower_halfplane(w, idx):   # Newton candidate conj(w)
+        return 1.0 - (step(w, idx) - w) / (w.conj() - w)
+
+    for derivative in (singular, to_lower_halfplane):
+        out = _picard_stack(step, b, cfg, derivative)
+        assert out[1][0] == picard[1][0]
+        assert np.array_equal(out[0], picard[0])
+
+    calls = []
+
+    def upward(w, idx):   # Newton candidate w + 10i: in the half-plane, larger residual
+        calls.append(len(w))
+        return 1.0 - (step(w, idx) - w) / 10j
+
+    out = _picard_stack(step, b, SolverConfig(damping=0.5, max_iter=60), upward)
+    assert not out[3][0]
+    assert len(calls) == 3   # Newton at steps 55, 57 and 59, Picard after each
 
 
 def test_power_variant_validation():
