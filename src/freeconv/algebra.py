@@ -1,14 +1,22 @@
 """Dense complex matrix algebra over B = M_n(C).
 
-Half-plane geometry, completely positive maps in Kraus form, and
-linearization of maps on B via the matrix-unit basis.  Everything here is
-plain numpy; matrices are ndarrays of complex dtype and functions accept
-stacked arrays (leading batch axes) wherever that is cheap to support.
+Half-plane geometry, completely positive maps, and linearization of maps on
+B via the matrix-unit basis.  Everything here is plain numpy; matrices are
+ndarrays of complex dtype and functions accept stacked arrays (leading
+batch axes) wherever that is cheap to support.
+
+A completely positive map is stored by its Kraus operators K_1..K_m, of
+shape out x in.  It is applied by whichever of two kernels costs less per
+point: the loop x -> sum_j K_j x K_j*, about m*out*in*(in + out) flops, or
+one product with the cached natural matrix S = sum_j K_j (x) conj(K_j),
+out^2 * in^2 flops.  S is used when out*in < m*(in + out); the same rule
+keeps S within (in + out) times the storage of the Kraus operators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -180,7 +188,10 @@ class CPMap:
 
     Kraus operators are (out_dim, in_dim) matrices; maps into B from a larger
     ambient algebra are the kraus_to_B kind.  Application at amplification
-    level k acts blockwise, i.e. with the operators 1_k otimes K_j.
+    level k acts blockwise, i.e. with the operators 1_k otimes K_j.  It
+    contracts with the natural matrix when out*in < m*(in + out) for m
+    operators (many operators, or a 1x1 map), and loops over the Kraus
+    operators otherwise (a few operators on M_n, n >= 2).
     """
 
     kraus: tuple[np.ndarray, ...]
@@ -192,7 +203,11 @@ class CPMap:
     def __post_init__(self):
         if self.kind not in CP_KINDS:
             raise ValueError(f"unknown CP map kind {self.kind!r}")
+        if not self.kraus:
+            raise ValueError("at least one Kraus operator is required")
         for K in self.kraus:
+            if np.ndim(K) != 2:
+                raise ValueError(f"Kraus operators must be matrices, got shape {np.shape(K)}")
             if K.shape != (self.out_dim, self.in_dim):
                 raise ValueError(
                     f"Kraus operator shape {K.shape} does not match "
@@ -210,11 +225,24 @@ class CPMap:
     @classmethod
     def from_kraus(cls, kraus: Sequence[np.ndarray], to_base: bool = False) -> "CPMap":
         ops = tuple(np.asarray(K, dtype=complex) for K in kraus)
-        if not ops:
-            raise ValueError("at least one Kraus operator is required")
-        out_dim, in_dim = ops[0].shape
+        # an empty or non-matrix family is rejected by __post_init__
+        out_dim, in_dim = ops[0].shape if ops and ops[0].ndim == 2 else (0, 0)
         kind = "kraus_to_B" if (to_base or out_dim != in_dim) else "kraus_on_B"
         return cls(kraus=ops, out_dim=out_dim, in_dim=in_dim, kind=kind)
+
+    @cached_property
+    def natural(self) -> np.ndarray:
+        """Natural matrix S[(a,b),(c,d)] = sum_j K_j[a,c] conj(K_j[b,d]), read-only.
+
+        vec(map(x)) = S vec(x) with row-major vec; shape out^2 x in^2.
+        """
+        o, i = self.out_dim, self.in_dim
+        K = np.stack(self.kraus)
+        # rows (a,c), columns (b,d): one product over the operator index
+        prod = K.transpose(1, 2, 0).reshape(o * i, -1) @ K.conj().reshape(-1, o * i)
+        S = prod.reshape(o, i, o, i).transpose(0, 2, 1, 3).reshape(o * o, i * i)
+        S.flags.writeable = False
+        return S
 
     def amplified_kraus(self, level: int) -> list[np.ndarray]:
         return [identity_kron(level, K) for K in self.kraus]
@@ -222,11 +250,21 @@ class CPMap:
     def apply(self, x: np.ndarray, level: int = 1) -> np.ndarray:
         """Evaluate the map (blockwise at amplification level > 1)."""
         x = np.asarray(x, dtype=complex)
-        d = self.in_dim * level
+        o, i = self.out_dim, self.in_dim
+        d = i * level
         if x.shape[-1] != d or x.shape[-2] != d:
             raise ValueError(
-                f"input of shape {x.shape} does not match in_dim {self.in_dim} "
+                f"input of shape {x.shape} does not match in_dim {i} "
                 f"at level {level}")
+        batch = x.shape[:-2]
+        if o * i < len(self.kraus) * (i + o):
+            if level == 1:
+                return (x.reshape(batch + (i * i,)) @ self.natural.T).reshape(batch + (o, o))
+            k = level
+            blocks = np.swapaxes(x.reshape(batch + (k, i, k, i)), -3, -2)
+            out = blocks.reshape(batch + (k, k, i * i)) @ self.natural.T
+            out = np.swapaxes(out.reshape(batch + (k, k, o, o)), -3, -2)
+            return out.reshape(batch + (k * o, k * o))
         out = None
         for K in self.amplified_kraus(level):
             term = (K @ x) @ dag(K)
@@ -247,8 +285,9 @@ class CPMap:
         """Choi matrix sum_ij E_ij otimes map(E_ij); square maps only."""
         if self.in_dim != self.out_dim:
             raise ValueError("Choi matrix is only assembled for maps on B")
-        units = matrix_units(self.in_dim)
-        return sum(np.kron(E, F) for E, F in zip(units, self.apply(units)))
+        n = self.in_dim
+        # Choi[(i,a),(j,b)] = map(E_ij)[a,b] = S[(a,b),(i,j)]
+        return self.natural.reshape(n, n, n, n).transpose(2, 0, 3, 1).reshape(n * n, n * n)
 
     def norm_bound(self) -> float:
         """Operator norm of map(1), a convenient size proxy."""

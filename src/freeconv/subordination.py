@@ -179,7 +179,8 @@ class SubordinationProblem:
 
         Over a scalar base the generic eta[(X - w)^{-1}] is the spectral sum
         -sum_j c_j (w - lambda_j)^{-1}; a larger base inverts the dense
-        resolvent and applies eta's Kraus operators.
+        resolvent and applies eta (through its natural matrix when eta has
+        many Kraus operators, see CPMap.apply).
         """
         if self.variant == "generic":
             if self.base_dim == 1:

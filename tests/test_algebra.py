@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from freeconv.algebra import (
     CPMap,
@@ -15,6 +16,7 @@ from freeconv.algebra import (
     is_hermitian,
     kron_with_identity,
     linearize_on_basis,
+    matrix_units,
     opnorm,
     real_part,
     require_halfplane,
@@ -114,11 +116,83 @@ def test_cp_compose_matches_sequential_application():
     assert np.allclose(comp.apply(x), outer.apply(inner.apply(x)))
 
 
+def test_cp_map_rejects_bad_kraus_families():
+    with pytest.raises(ValueError, match="at least one Kraus operator"):
+        CPMap(kraus=(), out_dim=2, in_dim=2)
+    with pytest.raises(ValueError, match="at least one Kraus operator"):
+        CPMap.from_kraus([])
+    with pytest.raises(ValueError, match="must be matrices"):
+        CPMap.from_kraus([np.ones(3)])
+    with pytest.raises(ValueError, match="must be matrices"):
+        CPMap.from_kraus([np.eye(2), np.ones((1, 2, 2))])
+
+
+def _kraus_loop(kraus, x, level):
+    """sum_j (1_k otimes K_j) x (1_k otimes K_j)*, written out directly."""
+    out = 0
+    for K in kraus:
+        A = np.kron(np.eye(level), K)
+        out = out + A @ x @ A.conj().T
+    return out
+
+
+@st.composite
+def kraus_shapes(draw):
+    """(out_dim, in_dim, operators): square maps with 1-2 operators on M_n,
+    n <= 4, or maps into a smaller B with 3-12 operators.  Both sides of
+    the kernel rule out*in < m*(in + out) occur."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        return n, n, draw(st.integers(1, 2))
+    out = draw(st.integers(1, 4))
+    return out, draw(st.integers(out + 1, 16)), draw(st.integers(3, 12))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(shape=kraus_shapes(), level=st.integers(1, 3),
+       batch=st.sampled_from([(), (2,), (2, 3)]), seed=st.integers(0, 2**32 - 1))
+@example(shape=(4, 4, 1), level=2, batch=(2,), seed=0)     # Kraus loop
+@example(shape=(3, 3, 2), level=3, batch=(), seed=1)      # natural matrix
+@example(shape=(4, 16, 3), level=2, batch=(2,), seed=2)   # Kraus loop
+@example(shape=(3, 30, 12), level=2, batch=(2,), seed=3)  # natural matrix
+def test_cp_apply_matches_amplified_kraus_loop(shape, level, batch, seed):
+    out_dim, in_dim, m = shape
+    rng = np.random.default_rng(seed)
+    kraus = [rng.standard_normal((out_dim, in_dim)) + 1j * rng.standard_normal((out_dim, in_dim))
+             for _ in range(m)]
+    cp = CPMap.from_kraus(kraus, to_base=out_dim != in_dim)
+    d = level * in_dim
+    x = rng.standard_normal(batch + (d, d)) + 1j * rng.standard_normal(batch + (d, d))
+    got = cp.apply(x, level)
+    want = _kraus_loop(kraus, x, level)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_natural_matrix_is_read_only_and_cached():
+    rng = np.random.default_rng(9)
+    cp = CPMap.from_kraus([rng.standard_normal((2, 5)) for _ in range(3)], to_base=True)
+    assert cp.natural.shape == (4, 25)
+    assert cp.natural is cp.natural
+    with pytest.raises(ValueError):
+        cp.natural[0, 0] = 1.0
+
+
 def test_choi_certifies_alpha_minus_identity():
     assert choi_minus_identity_min(CPMap.scaled_identity(2.0, 2)) >= -1e-10
     assert choi_minus_identity_min(CPMap.scaled_identity(1.0, 3)) >= -1e-10
     # alpha = 0.5 Id has alpha - Id completely negative
     assert choi_minus_identity_min(CPMap.scaled_identity(0.5, 2)) < -0.4
+
+
+def test_choi_of_a_random_map_is_the_matrix_unit_sum():
+    rng = np.random.default_rng(10)
+    kraus = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(3)]
+    choi = CPMap.from_kraus(kraus).choi()
+    want = sum(np.kron(E, _kraus_loop(kraus, E, 1)) for E in matrix_units(3))
+    assert np.max(np.abs(choi - want)) <= 1e-13 * np.max(np.abs(want))
+    # alpha = 0.5 Id on M_3: alpha - Id is completely negative
+    assert choi_minus_identity_min(CPMap.scaled_identity(0.5, 3)) < -0.4
 
 
 def test_vec_unvec_column_stacking():
