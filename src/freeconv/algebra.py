@@ -1,9 +1,10 @@
 """Dense complex matrix algebra over B = M_n(C).
 
-Half-plane geometry, completely positive maps, and linearization of maps on
-B via the matrix-unit basis.  Everything here is plain numpy; matrices are
-ndarrays of complex dtype and functions accept stacked arrays (leading
-batch axes) wherever that is cheap to support.
+Half-plane geometry, completely positive maps, difference quotients of nc
+functions, and linearization of maps on B via the matrix-unit basis.
+Everything here is plain numpy; matrices are ndarrays of complex dtype and
+functions accept stacked arrays (leading batch axes) wherever that is cheap
+to support.
 
 A completely positive map is stored by its Kraus operators K_1..K_m, of
 shape out x in.  It is applied by whichever of two kernels costs less per
@@ -15,9 +16,9 @@ keeps S within (in + out) times the storage of the Kraus operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -169,6 +170,22 @@ def upper_block(top_left, top_right, bottom_right) -> np.ndarray:
     return out
 
 
+def divided_difference(fmap: Callable[[np.ndarray], np.ndarray], w1: np.ndarray,
+                       w2: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """Delta f(w1, w2)[c] for each direction c in the stack cs.
+
+    For an nc function f the (1, 2) block of f([[w1, c], [0, w2]]) is the
+    difference quotient Delta f(w1, w2)[c], linear in c, and at w1 = w2 = w
+    the derivative Df(w)[c].  fmap evaluates f on a stack of 2d x 2d points
+    in one call; w1 and w2 broadcast against cs.
+    """
+    d = cs.shape[-1]
+    shape = np.broadcast_shapes(np.shape(w1), np.shape(w2), cs.shape)
+    blocks = upper_block(np.broadcast_to(w1, shape), cs, np.broadcast_to(w2, shape))
+    top = fmap(blocks.reshape((-1, 2 * d, 2 * d)))[:, :d, d:]
+    return top.reshape(shape)
+
+
 def c_scale(c: np.ndarray, margin1: float, margin2: float) -> np.ndarray:
     """Scale lam that keeps [[b1, lam c], [0, b2]] in the half-plane of b1 and b2,
     given their half-plane margins; batched over leading axes of c."""
@@ -189,9 +206,10 @@ class CPMap:
     Kraus operators are (out_dim, in_dim) matrices; maps into B from a larger
     ambient algebra are the kraus_to_B kind.  Application at amplification
     level k acts blockwise, i.e. with the operators 1_k otimes K_j.  It
-    contracts with the natural matrix when out*in < m*(in + out) for m
-    operators (many operators, or a 1x1 map), and loops over the Kraus
-    operators otherwise (a few operators on M_n, n >= 2).
+    multiplies by the scale for a scaled identity, contracts with the natural
+    matrix when out*in < m*(in + out) for m operators (many operators, or a
+    1x1 map), and loops over the Kraus operators otherwise (a few operators
+    on M_n, n >= 2).
     """
 
     kraus: tuple[np.ndarray, ...]
@@ -256,6 +274,8 @@ class CPMap:
             raise ValueError(
                 f"input of shape {x.shape} does not match in_dim {i} "
                 f"at level {level}")
+        if self.kind == "scaled_identity":
+            return self.scale * x
         batch = x.shape[:-2]
         if o * i < len(self.kraus) * (i + o):
             if level == 1:

@@ -3,10 +3,10 @@
 Difference quotients of the subordination map are extracted from fixed-point
 solves amplified to upper-triangular 2x2 block arguments: the (1, 2) block of
 omega([[b1, c], [0, b2]]) is linear in c and recovers the difference quotient
-Delta omega(b1, b2).  Composing its linearization with the directly assembled
-difference quotient of the right inverse H certifies the inverse relation,
-and the same 2x2 device evaluates derivatives of the v_q fixed point and of
-the nonlinearity h along boundary approaches.
+Delta omega(b1, b2).  The maps with a closed form (the right inverse H, the
+v_q update g_q, the nonlinearity h) are differentiated by
+algebra.divided_difference on the maps themselves, so each certificate still
+compares an amplified solve with an independent derivative of its map.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .algebra import (
     c_scale,
     dag,
     direct_sum,
+    divided_difference,
     identity_kron,
     imag_part,
     is_strictly_positive,
@@ -42,6 +43,7 @@ from .subordination import (
     SolveReport,
     SolverConfig,
     SubordinationProblem,
+    g_q,
     solve_gq_stack,
     solve_omega,
     solve_omega_stack,
@@ -121,29 +123,17 @@ def delta_omega(problem: SubordinationProblem, b1, b2, c,
 
 def _delta_h_right_inverse(problem: SubordinationProblem, w1: np.ndarray,
                            w2: np.ndarray) -> LinearMapOnB:
-    """Difference quotient of H(w) = w - a - (nonlinearity), assembled directly."""
-    model = problem.model
+    """Difference quotient of H(w) = w - a - (nonlinearity), read off the map."""
     d = w1.shape[0]
-    level = d // model.base_dim
-    if problem.variant == "generic":
-        Xk = identity_kron(level, model.X)
-        R1 = np.linalg.inv(Xk - model.embed(w1))
-        R2 = np.linalg.inv(Xk - model.embed(w2))
+    level = d // problem.base_dim
 
-        def f(c):
-            return c - problem.eta.apply(R1 @ model.embed(c) @ R2, level)
-    else:
-        R1 = model.resolvent(w1, level)
-        R2 = model.resolvent(w2, level)
-        F1 = np.linalg.inv(model.expect(R1, level))
-        F2 = np.linalg.inv(model.expect(R2, level))
+    def h2(x):
+        return problem.h_map(x, 2 * level)
 
-        def f(c):
-            dG = -model.expect(R1 @ model.embed(c) @ R2, level)
-            dh = -F1 @ dG @ F2 - c
-            return c - (problem.alpha.apply(dh, level) - dh)
+    def batch(cs):
+        return cs - divided_difference(h2, w1, w2, cs)
 
-    return linearize_on_basis(f, d)
+    return linearize_on_basis(lambda c: None, d, batch=batch)
 
 
 def delta_omega_spectrum(problem: SubordinationProblem, b1, b2,
@@ -151,7 +141,7 @@ def delta_omega_spectrum(problem: SubordinationProblem, b1, b2,
     """Spectrum of the linearized difference quotient of the subordination map.
 
     Certifies Re(spectrum) > 1/2 and verifies the inverse relation against
-    the directly assembled difference quotient of the right inverse.
+    the divided difference of the right inverse H, taken on H itself.
     """
     b1 = require_halfplane(as_element(b1, "b1"), "upper", POSITIVITY_TOL, name="b1")
     b2 = require_halfplane(as_element(b2, "b2"), "upper", POSITIVITY_TOL, name="b2")
@@ -190,37 +180,18 @@ def delta_omega_spectrum(problem: SubordinationProblem, b1, b2,
 # ---------------------------------------------------------------------------
 
 
-def _gq_pieces(problem: SubordinationProblem, u: np.ndarray, v: np.ndarray):
-    model = problem.model
-    Y = model.X - model.embed(u)
-    vh = model.embed(v)
-    vinv = np.linalg.inv(vh)
-    T = np.linalg.inv(Y @ vinv @ Y + vh)
-    return model, Y, vinv, T
-
-
 def _dv_map(problem: SubordinationProblem, u: np.ndarray, v: np.ndarray) -> LinearMapOnB:
-    """Partial derivative of g_q in the fixed-point variable."""
-    model, Y, vinv, T = _gq_pieces(problem, u, v)
+    """Partial derivative of g_q in the fixed-point variable.
 
-    def f(dv):
-        dvh = model.embed(dv)
-        middle = Y @ vinv @ dvh @ vinv @ Y - dvh
-        return problem.eta.apply(T @ middle @ T)
+    q only shifts the diagonal blocks, so it drops out of the difference
+    quotient and is passed as 0.
+    """
+    u2 = identity_kron(2, u)
 
-    return linearize_on_basis(f, u.shape[0])
+    def batch(cs):
+        return divided_difference(lambda x: g_q(problem, 0.0, u2, x, 2), v, v, cs)
 
-
-def _du_map(problem: SubordinationProblem, u: np.ndarray, v: np.ndarray) -> LinearMapOnB:
-    """Partial derivative of g_q in the base-point variable."""
-    model, Y, vinv, T = _gq_pieces(problem, u, v)
-
-    def f(c):
-        ch = model.embed(c)
-        middle = Y @ vinv @ ch + ch @ vinv @ Y
-        return problem.eta.apply(T @ middle @ T)
-
-    return linearize_on_basis(f, u.shape[0])
+    return linearize_on_basis(lambda c: None, u.shape[0], batch=batch)
 
 
 def dvg_spectrum(problem: SubordinationProblem, q, u,
@@ -282,9 +253,9 @@ def vq_derivative(problem: SubordinationProblem, q, u, c,
     d = u.shape[0]
 
     dv = _dv_map(problem, u, v)
-    du = _du_map(problem, u, v)
-    implicit = unvec(np.linalg.solve(np.eye(d * d) - dv.matrix,
-                                     du.matrix @ vec(c)), d)
+    v2 = identity_kron(2, v)
+    du_c = divided_difference(lambda x: g_q(problem, 0.0, x, v2, 2), u, u, c[None])[0]
+    implicit = unvec(np.linalg.solve(np.eye(d * d) - dv.matrix, vec(du_c)), d)
 
     lam = 1.0 / (1.0 + opnorm(c))
     u2 = upper_block(u, lam * c, u)
@@ -490,15 +461,13 @@ def jc_probe(problem: SubordinationProblem, alpha, v, u, y_schedule,
 
         if ell is not None:
             n = omega_limit.shape[0]
-            lam = 0.5
             for y in ys:
                 hq = problem.h_map(omega_limit + 1j * y * u, 1)
                 tau = float(np.real(np.trace(imag_part(hq)) / n))
                 quotient.append(tau / y)
                 W = omega_limit + 1j * y * ell
-                block = upper_block(W, lam * ell, W)
-                h2 = problem.h_map(block, 2)
-                hprime_norms.append(opnorm(h2[:n, n:] / lam))
+                hprime = divided_difference(lambda x: problem.h_map(x, 2), W, W, ell[None])
+                hprime_norms.append(opnorm(hprime[0]))
             verdicts["quotient_bounded"] = trend_ok(quotient)
             verdicts["hprime_bound"] = bool(hprime_norms[-1] <= 1.0 + 1e-3)
 

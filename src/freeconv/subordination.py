@@ -45,18 +45,16 @@ from .algebra import (
     amplification_level,
     as_element,
     choi_minus_identity_min,
-    dag,
+    divided_difference,
     identity_kron,
     imag_part,
     is_strictly_positive,
     matrix_units,
     opnorm,
     opnorm_stack,
-    real_part,
     require_halfplane,
     require_hermitian,
     unvec,
-    upper_block,
     vec,
 )
 from .model import OperatorModel
@@ -322,18 +320,18 @@ def _omega_step(problem: SubordinationProblem, b_stack: np.ndarray, level: int):
 def _omega_derivative(problem: SubordinationProblem, level: int):
     """Jacobian of the fixed-point map on vec(M_d), d = n k at level k.
 
-    Dh(w)[E_ij] is the top-right block of h at [[w, E_ij], [0, w]]: one
-    batched h_map call at level 2k over the matrix units serves every variant.
+    Dh(w)[E_ij] is the divided difference of h at (w, w): one batched h_map
+    call at level 2k over the matrix units serves every variant.
     """
     d = problem.base_dim * level
     units = matrix_units(d)
 
+    def h2(x):
+        return problem.h_map(x, 2 * level)
+
     def derivative(w, idx):
-        m = len(w)
-        wb = np.broadcast_to(w[:, None], (m, d * d, d, d))
-        blocks = upper_block(wb, units, wb).reshape(m * d * d, 2 * d, 2 * d)
-        top = problem.h_map(blocks, 2 * level)[:, :d, d:]
-        return np.swapaxes(vec(top.reshape(m, d * d, d, d)), -1, -2)
+        top = divided_difference(h2, w[:, None], w[:, None], units)
+        return np.swapaxes(vec(top), -1, -2)
 
     return derivative
 
@@ -389,16 +387,23 @@ def _require_generic(problem: SubordinationProblem, op: str) -> None:
         raise ValueError(f"{op} requires a generic-variant problem with an explicit eta map")
 
 
+def g_q(problem: SubordinationProblem, q, u: np.ndarray, v: np.ndarray,
+        level: int = 1) -> np.ndarray:
+    """g_q(u, v) = q + eta[((X - u) v^{-1} (X - u) + v)^{-1}] at level k.
+
+    Batched over leading axes of u and v.  v is inverted in M_k(B) and then
+    embedded, since (v otimes 1_m)^{-1} = v^{-1} otimes 1_m.
+    """
+    model = problem.model
+    Y = identity_kron(level, model.X) - model.embed(u)
+    inner = Y @ model.embed(np.linalg.inv(v)) @ Y + model.embed(v)
+    return q + problem.eta.apply(np.linalg.inv(inner), level)
+
+
 def _gq_step(problem: SubordinationProblem, q_stack: np.ndarray,
              u_stack: np.ndarray, level: int):
-    model = problem.model
-    Xk = identity_kron(level, model.X)
-    Y = Xk - model.embed(u_stack)   # constant per batch entry
-
     def step(v, idx):
-        vh = model.embed(v)
-        inner = Y[idx] @ np.linalg.inv(vh) @ Y[idx] + vh
-        return q_stack[idx] + problem.eta.apply(np.linalg.inv(inner), level)
+        return g_q(problem, q_stack[idx], u_stack[idx], v, level)
 
     return step
 
@@ -451,8 +456,8 @@ def phi_q(problem: SubordinationProblem, q, w,
     if not report.converged:
         raise ConvergenceError("v_q solve did not converge inside phi_q", report)
     model = problem.model
-    v = model.embed(report.value)
+    v = report.value
     Y = model.X - model.embed(w)
-    vinv = np.linalg.inv(v)
-    inner = np.linalg.inv(Y @ vinv @ Y + v)
+    vinv = model.embed(np.linalg.inv(v))
+    inner = np.linalg.inv(Y @ vinv @ Y + model.embed(v))
     return w - problem.a - problem.eta.apply(vinv @ Y @ inner)

@@ -25,11 +25,11 @@ from .algebra import (
     amplification_level,
     as_element,
     c_scale,
+    divided_difference,
     imag_part,
     linearize_on_basis,
     opnorm,
     require_halfplane,
-    upper_block,
     vec,
     unvec,
 )
@@ -202,12 +202,14 @@ def _cauchy_jacobian(source, w: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     # a selfadjoint w has no half-plane to keep, and any lam serves a model
     margin = float(np.min(np.abs(np.linalg.eigvalsh(imag_part(w))))) or 1.0
 
+    def cauchy(x):
+        G, ok = source.cauchy_stack(x, level, cfg)
+        _require_converged(G, ok, cfg)
+        return G
+
     def batch(cs):
         lams = c_scale(cs, margin, margin)[:, None, None]
-        ws = np.broadcast_to(w, cs.shape)
-        G, ok = source.cauchy_stack(upper_block(ws, lams * cs, ws), level, cfg)
-        _require_converged(G, ok, cfg)
-        return G[:, :n, n:] / lams
+        return divided_difference(cauchy, w, w, lams * cs) / lams
 
     return linearize_on_basis(lambda c: None, n, batch=batch).matrix
 

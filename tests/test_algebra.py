@@ -9,6 +9,7 @@ from freeconv.algebra import (
     choi_minus_identity_min,
     dag,
     direct_sum,
+    divided_difference,
     halfplane_margin,
     identity_kron,
     imag_part,
@@ -169,6 +170,16 @@ def test_cp_apply_matches_amplified_kraus_loop(shape, level, batch, seed):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_scaled_identity_applies_as_its_scale(level):
+    rng = np.random.default_rng(level)
+    for n in (1, 2, 4):
+        d = level * n
+        x = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
+        got = CPMap.scaled_identity(2.5, n).apply(x, level)
+        assert np.max(np.abs(got - 2.5 * x)) <= 1e-14 * np.max(np.abs(x))
+
+
 def test_natural_matrix_is_read_only_and_cached():
     rng = np.random.default_rng(9)
     cp = CPMap.from_kraus([rng.standard_normal((2, 5)) for _ in range(3)], to_base=True)
@@ -193,6 +204,18 @@ def test_choi_of_a_random_map_is_the_matrix_unit_sum():
     assert np.max(np.abs(choi - want)) <= 1e-13 * np.max(np.abs(want))
     # alpha = 0.5 Id on M_3: alpha - Id is completely negative
     assert choi_minus_identity_min(CPMap.scaled_identity(0.5, 3)) < -0.4
+
+
+def test_divided_difference_of_a_cubic():
+    # f(x) = x^3 has Delta f(w1, w2)[c] = w1^2 c + w1 c w2 + c w2^2
+    rng = np.random.default_rng(12)
+    w1 = rng.standard_normal((2, 1, 3, 3)) + 1j * rng.standard_normal((2, 1, 3, 3))
+    w2 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    cs = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    got = divided_difference(lambda x: x @ x @ x, w1, w2, cs)
+    want = w1 @ w1 @ cs + w1 @ cs @ w2 + cs @ w2 @ w2
+    assert got.shape == (2, 4, 3, 3)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_vec_unvec_column_stacking():

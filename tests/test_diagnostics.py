@@ -23,7 +23,7 @@ from freeconv import (
 from freeconv.subordination import DEFAULT_CONFIG
 
 from _oracles import point_dvg_eigenvalue, point_gamma_omega
-from helpers import random_hermitian, random_problem, random_upper
+from helpers import random_hermitian, random_model, random_problem, random_upper
 
 
 def point_plus_semicircle(t=1.0):
@@ -109,6 +109,14 @@ def test_delta_omega_spectrum_power_variant():
     assert cert.passed
     assert cert.details["inverse_composition_error"] < 1e-8
     del rng
+
+
+def test_delta_omega_spectrum_power_variant_matrix_base():
+    rng = np.random.default_rng(4)
+    prob = SubordinationProblem.power(random_model(rng, 2, 2), CPMap.scaled_identity(1.5, 2))
+    cert = delta_omega_spectrum(prob, random_upper(rng, 2), random_upper(rng, 2))
+    assert cert.passed
+    assert cert.details["inverse_composition_error"] < 1e-8
 
 
 def test_dvg_spectrum_scalar_eigenvalue():

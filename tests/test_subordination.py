@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freeconv import (
     CPMap,
@@ -15,12 +16,20 @@ from freeconv import (
     solve_omega_stack,
     solve_vq,
 )
-from freeconv.algebra import imag_part, opnorm, real_part, unvec, vec
-from freeconv.subordination import _omega_derivative, _picard_stack
+from freeconv.algebra import (
+    divided_difference,
+    identity_kron,
+    imag_part,
+    opnorm,
+    real_part,
+    unvec,
+    vec,
+)
+from freeconv.subordination import _omega_derivative, _picard_stack, g_q
 from freeconv.transforms import ConvolutionPower, semicircle_problem
 
 from _oracles import arcsine2_g, point_gamma_omega, point_vq_at_zero, semicircle_g
-from helpers import random_hermitian, random_model, random_problem, random_upper
+from helpers import random_hermitian, random_model, random_problem, random_psd, random_upper
 
 
 def point_gamma_problem(t: float = 1.0):
@@ -185,6 +194,55 @@ def test_omega_derivative_matches_difference_quotients():
             c = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             quotient = (prob.h_map(w + t * c, level) - prob.h_map(w - t * c, level)) / (2 * t)
             assert opnorm(unvec(J @ vec(c), d) - quotient) <= 1e-7 * (1 + opnorm(quotient))
+
+
+def _map_and_points(kind, n, m, level, rng):
+    """(f at level k, f at level 2k, w1, w2) for one map of the library.
+
+    g_q is taken as a function of v at fixed u and of u at fixed v; q and
+    the fixed argument enter the level-2k map amplified by 1_2.
+    """
+    d = n * level
+    if kind in ("h dense", "h spectral"):
+        prob = random_problem(rng, n=n, m=m)
+        return (lambda x: prob.h_map(x, level), lambda x: prob.h_map(x, 2 * level),
+                random_upper(rng, d), random_upper(rng, d))
+    if kind == "h power":
+        K = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        prob = SubordinationProblem.power(random_model(rng, n, m),
+                                          CPMap.from_kraus([np.eye(n), 0.5 * K]))
+        return (lambda x: prob.h_map(x, level), lambda x: prob.h_map(x, 2 * level),
+                random_upper(rng, d), random_upper(rng, d))
+    if kind == "cauchy":
+        model = random_model(rng, n, m)
+        return (lambda x: model.cauchy(x, level), lambda x: model.cauchy(x, 2 * level),
+                random_upper(rng, d), random_upper(rng, d))
+    prob = random_problem(rng, n=n, m=m)
+    q = 0.1 * np.eye(d) + random_psd(rng, d)
+    q2 = identity_kron(2, q)
+    if kind == "g_q in v":
+        u = random_hermitian(rng, d)
+        u2 = identity_kron(2, u)
+        return (lambda v: g_q(prob, q, u, v, level), lambda v: g_q(prob, q2, u2, v, 2 * level),
+                np.eye(d) + random_psd(rng, d), np.eye(d) + random_psd(rng, d))
+    v = np.eye(d) + random_psd(rng, d)
+    v2 = identity_kron(2, v)
+    return (lambda u: g_q(prob, q, u, v, level), lambda u: g_q(prob, q2, u, v2, 2 * level),
+            random_hermitian(rng, d), random_hermitian(rng, d))
+
+
+@pytest.mark.parametrize("kind", ["h dense", "h spectral", "h power", "cauchy",
+                                  "g_q in v", "g_q in u"])
+@settings(max_examples=15, deadline=None, database=None)
+@given(n=st.integers(2, 3), m=st.integers(1, 3), level=st.integers(1, 2),
+       seed=st.integers(0, 2**32 - 1))
+def test_divided_difference_of_distinct_points_is_the_difference(kind, n, m, level, seed):
+    # Delta f(w1, w2)[w1 - w2] = f(w1) - f(w2) for every nc function f
+    n = 1 if kind == "h spectral" else n
+    f, f2, w1, w2 = _map_and_points(kind, n, m, level, np.random.default_rng(seed))
+    got = divided_difference(f2, w1, w2, (w1 - w2)[None])[0]
+    f1, fw2 = f(w1), f(w2)
+    assert opnorm(got - (f1 - fw2)) <= 1e-10 * (opnorm(f1) + opnorm(fw2))
 
 
 def test_newton_safeguard_falls_back_to_damped_picard():
