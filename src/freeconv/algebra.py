@@ -11,7 +11,13 @@ shape out x in.  It is applied by whichever of two kernels costs less per
 point: the loop x -> sum_j K_j x K_j*, about m*out*in*(in + out) flops, or
 one product with the cached natural matrix S = sum_j K_j (x) conj(K_j),
 out^2 * in^2 flops.  S is used when out*in < m*(in + out); the same rule
-keeps S within (in + out) times the storage of the Kraus operators.
+keeps S within (in + out) times the storage of the Kraus operators.  At
+level k > 1 both kernels act on the k x k blocks of the input.
+
+Derivatives are read off 2x2 block upper triangular points
+[[w1, c], [0, w2]] (divided_difference).  Their resolvents are block upper
+triangular too, and inv inverts such a point through its two diagonal
+blocks, once per stack when every entry shares a block.
 """
 
 from __future__ import annotations
@@ -128,7 +134,9 @@ def kron_with_identity(b: np.ndarray, m: int) -> np.ndarray:
         return b
     b = np.asarray(b, dtype=complex)
     d = b.shape[-1]
-    out = np.einsum("...ij,st->...isjt", b, np.eye(m))
+    out = np.zeros(b.shape[:-2] + (d, m, d, m), dtype=complex)
+    for s in range(m):
+        out[..., s, :, s] = b
     return out.reshape(b.shape[:-2] + (d * m, d * m))
 
 
@@ -170,6 +178,41 @@ def upper_block(top_left, top_right, bottom_right) -> np.ndarray:
     return out
 
 
+def inv(a: np.ndarray, level: int) -> np.ndarray:
+    """np.linalg.inv of a (stacked) point of an amplification at level k.
+
+    At an even level a point whose lower-left half block is exactly zero is
+    [[A, C], [0, D]], with inverse [[A^-1, -A^-1 C D^-1], [0, D^-1]]: the
+    diagonal blocks, points at level k/2, are inverted the same way, and
+    each only once when every entry of the stack shares it (a divided
+    difference over a stack of directions, or an amplified solve whose
+    diagonal blocks are the level-k/2 iterates).  The lower-left block of
+    the result is exactly zero again.  Any other point goes to np.linalg.inv.
+    """
+    if level % 2:
+        return np.linalg.inv(a)
+    d = a.shape[-1] // 2
+    if a[..., d:, :d].any():
+        return np.linalg.inv(a)
+    top = _inv_diagonal_block(a[..., :d, :d], level // 2)
+    bottom = _inv_diagonal_block(a[..., d:, d:], level // 2)
+    out = np.zeros(a.shape, dtype=complex)
+    out[..., :d, :d] = top
+    out[..., :d, d:] = -(top @ a[..., :d, d:]) @ bottom
+    out[..., d:, d:] = bottom
+    return out
+
+
+def _inv_diagonal_block(block: np.ndarray, level: int) -> np.ndarray:
+    """inv of a stack of diagonal blocks: one inverse (a 2-d array, which
+    broadcasts) when every entry equals the first, else one per entry."""
+    if block.ndim > 2 and block.size > block.shape[-1] ** 2:
+        first = block.reshape((-1,) + block.shape[-2:])[0]
+        if (block == first).all():
+            return inv(first, level)
+    return inv(block, level)
+
+
 def divided_difference(fmap: Callable[[np.ndarray], np.ndarray], w1: np.ndarray,
                        w2: np.ndarray, cs: np.ndarray) -> np.ndarray:
     """Delta f(w1, w2)[c] for each direction c in the stack cs.
@@ -205,11 +248,12 @@ class CPMap:
 
     Kraus operators are (out_dim, in_dim) matrices; maps into B from a larger
     ambient algebra are the kraus_to_B kind.  Application at amplification
-    level k acts blockwise, i.e. with the operators 1_k otimes K_j.  It
-    multiplies by the scale for a scaled identity, contracts with the natural
-    matrix when out*in < m*(in + out) for m operators (many operators, or a
-    1x1 map), and loops over the Kraus operators otherwise (a few operators
-    on M_n, n >= 2).
+    level k acts on each of the k x k blocks of the input, as the operators
+    1_k otimes K_j would, without forming them.  It multiplies by the scale
+    for a scaled identity, contracts with the natural matrix when
+    out*in < m*(in + out) for m operators (many operators, or a 1x1 map),
+    and loops over the Kraus operators otherwise (a few operators on M_n,
+    n >= 2).  Both kernels keep a zero block of the input zero in the output.
     """
 
     kraus: tuple[np.ndarray, ...]
@@ -262,9 +306,6 @@ class CPMap:
         S.flags.writeable = False
         return S
 
-    def amplified_kraus(self, level: int) -> list[np.ndarray]:
-        return [identity_kron(level, K) for K in self.kraus]
-
     def apply(self, x: np.ndarray, level: int = 1) -> np.ndarray:
         """Evaluate the map (blockwise at amplification level > 1)."""
         x = np.asarray(x, dtype=complex)
@@ -285,11 +326,20 @@ class CPMap:
             out = blocks.reshape(batch + (k, k, i * i)) @ self.natural.T
             out = np.swapaxes(out.reshape(batch + (k, k, o, o)), -3, -2)
             return out.reshape(batch + (k * o, k * o))
+        if level == 1:      # the reshapes below cost more than they save here
+            out = None
+            for K in self.kraus:
+                term = (K @ x) @ dag(K)
+                out = term if out is None else out + term
+            return out
+        # the block rows (k, in, k*in) times K, then every block column times K*
+        k = level
+        rows = x.reshape(batch + (k, i, k * i))
         out = None
-        for K in self.amplified_kraus(level):
-            term = (K @ x) @ dag(K)
+        for K in self.kraus:
+            term = (K @ rows).reshape(-1, i) @ dag(K)
             out = term if out is None else out + term
-        return out
+        return out.reshape(batch + (k * o, k * o))
 
     def __call__(self, x: np.ndarray, level: int = 1) -> np.ndarray:
         return self.apply(x, level)

@@ -218,9 +218,9 @@ def _cmd_diagnose(args) -> int:
     b1 = _load_matrix(args.b1, "b1")
     b2 = _load_matrix(args.b2, "b2")
     inputs = {"problem": args.problem, "b1": args.b1, "b2": args.b2}
-    certs = {"delta_omega": delta_omega_spectrum(problem, b1, b2, cfg)}
     if (args.q is None) != (args.u is None):
         raise InputError("--q and --u must be given together")
+    certs = {"delta_omega": delta_omega_spectrum(problem, b1, b2, cfg)}
     if args.q is not None:
         q = _load_matrix(args.q, "q")
         u = _load_matrix(args.u, "u")
@@ -233,7 +233,7 @@ def _cmd_diagnose(args) -> int:
     }, args.out)
     _print_table([(cert.claim, "PASS" if cert.passed else "FAIL")
                   for cert in certs.values()])
-    return 0
+    return 0 if all(cert.passed for cert in certs.values()) else 2
 
 
 def _cmd_jc_probe(args) -> int:
@@ -291,7 +291,7 @@ def _cmd_axioms(args) -> int:
             for kind, value in dev.items()]
     rows.append(("overall", "PASS" if res["passed"] else "FAIL"))
     _print_table(rows)
-    return 0
+    return 0 if res["passed"] else 2
 
 
 def _cmd_validate_rmt(args) -> int:

@@ -24,6 +24,7 @@ from .algebra import (
     dag,
     identity_kron,
     in_halfplane,
+    inv,
     kron_with_identity,
     opnorm,
     require_hermitian,
@@ -169,10 +170,24 @@ class OperatorModel:
         """p_j = E(u_j u_j*) for the eigenvectors u_j of X (base_dim 1)."""
         return self.weights @ np.abs(self.spectrum[1]) ** 2
 
+    @cached_property
+    def _amplified_X(self) -> dict:
+        return {}
+
+    def amplified_X(self, level: int) -> np.ndarray:
+        """1_k otimes X, built once per level and kept read-only, since every
+        dense resolvent at that level shares it."""
+        Xk = self._amplified_X.get(level)
+        if Xk is None:
+            Xk = identity_kron(level, self.X).view()   # X itself stays writable
+            Xk.flags.writeable = False
+            self._amplified_X[level] = Xk
+        return Xk
+
     def resolvent(self, b: np.ndarray, level: int = 1) -> np.ndarray:
-        """(b - X otimes 1_k)^{-1}, batched over leading axes of b."""
-        Xk = identity_kron(level, self.X)
-        return np.linalg.inv(self.embed(b) - Xk)
+        """(b - X otimes 1_k)^{-1}, batched over leading axes of b; a block
+        upper triangular b is inverted through its diagonal blocks (algebra.inv)."""
+        return inv(self.embed(b) - self.amplified_X(level), level)
 
     def cauchy(self, b: np.ndarray, level: int = 1) -> np.ndarray:
         """(E otimes Id_k)[(b - X otimes 1_k)^{-1}]; a scalar base sums over

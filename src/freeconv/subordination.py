@@ -48,6 +48,7 @@ from .algebra import (
     divided_difference,
     identity_kron,
     imag_part,
+    inv,
     is_strictly_positive,
     matrix_units,
     opnorm,
@@ -177,14 +178,14 @@ class SubordinationProblem:
 
         Over a scalar base the generic eta[(X - w)^{-1}] is the spectral sum
         -sum_j c_j (w - lambda_j)^{-1}; a larger base inverts the dense
-        resolvent and applies eta (through its natural matrix when eta has
-        many Kraus operators, see CPMap.apply).
+        resolvent (through its diagonal blocks at a block upper triangular
+        w, see algebra.inv) and applies eta (through its natural matrix when
+        eta has many Kraus operators, see CPMap.apply).
         """
         if self.variant == "generic":
             if self.base_dim == 1:
                 return -self.model.spectral_sum(self._eta_weights, w, level)
-            Xk = identity_kron(level, self.model.X)
-            R = np.linalg.inv(Xk - self.model.embed(w))
+            R = inv(self.model.amplified_X(level) - self.model.embed(w), level)
             return self.eta.apply(R, level)
         G = self.model.cauchy(w, level)
         h = np.linalg.inv(G) - w
@@ -392,12 +393,14 @@ def g_q(problem: SubordinationProblem, q, u: np.ndarray, v: np.ndarray,
     """g_q(u, v) = q + eta[((X - u) v^{-1} (X - u) + v)^{-1}] at level k.
 
     Batched over leading axes of u and v.  v is inverted in M_k(B) and then
-    embedded, since (v otimes 1_m)^{-1} = v^{-1} otimes 1_m.
+    embedded, since (v otimes 1_m)^{-1} = v^{-1} otimes 1_m.  Both inverses
+    go through algebra.inv, so block upper triangular u and v at level 2k
+    keep the lower-left block of every factor exactly zero.
     """
     model = problem.model
-    Y = identity_kron(level, model.X) - model.embed(u)
-    inner = Y @ model.embed(np.linalg.inv(v)) @ Y + model.embed(v)
-    return q + problem.eta.apply(np.linalg.inv(inner), level)
+    Y = model.amplified_X(level) - model.embed(u)
+    inner = Y @ model.embed(inv(v, level)) @ Y + model.embed(v)
+    return q + problem.eta.apply(inv(inner, level), level)
 
 
 def _gq_step(problem: SubordinationProblem, q_stack: np.ndarray,

@@ -14,6 +14,7 @@ from freeconv.algebra import (
     identity_kron,
     imag_part,
     in_halfplane,
+    inv,
     is_hermitian,
     kron_with_identity,
     linearize_on_basis,
@@ -71,6 +72,11 @@ def test_kron_with_identity_matches_kron_and_batches():
     for k in range(3):
         assert np.allclose(lifted[k], np.kron(b[k], np.eye(3)))
     assert np.allclose(identity_kron(2, b[0]), np.kron(np.eye(2), b[0]))
+    for m in range(1, 5):
+        lifted = kron_with_identity(b, m)
+        assert lifted.shape == (3, 2 * m, 2 * m)
+        for k in range(3):
+            assert np.array_equal(lifted[k], np.kron(b[k], np.eye(m)))
 
 
 def test_direct_sum_blocks():
@@ -204,6 +210,76 @@ def test_choi_of_a_random_map_is_the_matrix_unit_sum():
     assert np.max(np.abs(choi - want)) <= 1e-13 * np.max(np.abs(want))
     # alpha = 0.5 Id on M_3: alpha - Id is completely negative
     assert choi_minus_identity_min(CPMap.scaled_identity(0.5, 3)) < -0.4
+
+
+@st.composite
+def amplified_stacks(draw):
+    """(stack, level, kind): points of M_level(M_n) with n <= 3, level <= 4,
+    in a stack of shape (), (1,), (4,) or (2, 3).  kind "dense" has a nonzero
+    lower-left half block; "shared" and "unshared" zero it (at even levels)
+    with the diagonal blocks equal across the stack or drawn per entry, and
+    at level 4 the diagonal blocks may be block upper triangular too."""
+    n, level = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    batch = draw(st.sampled_from([(), (1,), (4,), (2, 3)]))
+    kind = draw(st.sampled_from(["dense", "shared", "unshared"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = n * level
+    # unit-size entries plus a shift: well conditioned, so the two routes
+    # agree to rounding
+    a = (rng.standard_normal(batch + (d, d)) + 1j * rng.standard_normal(batch + (d, d))) / d
+    a = a + (2.0 + 1.0j) * np.eye(d)
+    h = d // 2
+    if kind != "dense" and level % 2 == 0:
+        a[..., h:, :h] = 0.0
+        if level == 4 and draw(st.booleans()):
+            q = h // 2
+            a[..., q:h, :q] = 0.0
+            a[..., h + q:, h:h + q] = 0.0
+        if kind == "shared" and batch:
+            first = a.reshape((-1, d, d))[0]
+            a[..., :h, :h] = first[:h, :h]
+            a[..., h:, h:] = first[h:, h:]
+    return a, level, kind
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(drawn=amplified_stacks())
+def test_inv_matches_dense_inverse(drawn):
+    a, level, kind = drawn
+    got = inv(a, level)
+    want = np.linalg.inv(a)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    h = a.shape[-1] // 2
+    if level % 2 == 0 and kind != "dense":
+        assert not got[..., h:, :h].any()
+
+
+def test_inv_of_a_block_triangular_point_by_hand():
+    # [[a, c], [0, d]]^{-1} = [[1/a, -c/(a d)], [0, 1/d]], shared diagonal blocks
+    a = np.array([[[2.0, 3.0], [0.0, 4.0]], [[2.0, -1.0], [0.0, 4.0]]], dtype=complex)
+    want = np.array([[[0.5, -3.0 / 8.0], [0.0, 0.25]],
+                     [[0.5, 1.0 / 8.0], [0.0, 0.25]]], dtype=complex)
+    assert np.array_equal(inv(a, 2), want)
+    with pytest.raises(np.linalg.LinAlgError):
+        inv(np.array([[0.0, 1.0], [0.0, 1.0]], dtype=complex), 2)
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 1), (2, 6, 5)])
+def test_cp_apply_keeps_a_zero_lower_left_block(shape):
+    # (3, 3, 1) takes the Kraus loop, (2, 6, 5) the natural matrix
+    out_dim, in_dim, m = shape
+    rng = np.random.default_rng(13)
+    kraus = [rng.standard_normal((out_dim, in_dim)) + 1j * rng.standard_normal((out_dim, in_dim))
+             for _ in range(m)]
+    cp = CPMap.from_kraus(kraus, to_base=out_dim != in_dim)
+    x = rng.standard_normal((4, 2 * in_dim, 2 * in_dim)) \
+        + 1j * rng.standard_normal((4, 2 * in_dim, 2 * in_dim))
+    x[:, in_dim:, :in_dim] = 0.0
+    got = cp.apply(x, 2)
+    assert not got[:, out_dim:, :out_dim].any()
+    want = _kraus_loop(kraus, x, 2)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_divided_difference_of_a_cubic():

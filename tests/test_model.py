@@ -154,6 +154,18 @@ def test_scalar_base_spectral_sums_match_dense_resolvents(level, drawn):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_amplified_X_is_cached_and_read_only():
+    rng = np.random.default_rng(6)
+    model = random_model(rng, 2, 3)
+    for level in (1, 2, 3):
+        Xk = model.amplified_X(level)
+        assert Xk is model.amplified_X(level)
+        assert np.array_equal(Xk, np.kron(np.eye(level), model.X))
+        with pytest.raises(ValueError):
+            Xk[0, 0] = 1.0
+    assert model.X.flags.writeable
+
+
 def test_resolvent_identity():
     rng = np.random.default_rng(5)
     model = random_model(rng, 2, 3)

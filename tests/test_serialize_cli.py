@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import freeconv.cli
 from freeconv import (
     CPMap,
     DensityGrid,
@@ -13,6 +14,7 @@ from freeconv import (
     OperatorModel,
     ScalarMeasure,
     SolverConfig,
+    SpectrumCertificate,
     SubordinationProblem,
     density_grid,
     scalar_to_model,
@@ -373,6 +375,54 @@ def test_cli_diagnose(fixtures, tmp_path, capsys):
                       "--b1", fixtures["b_i.json"], "--b2", fixtures["b_2i.json"],
                       "--q", fixtures["q.json"], "--out", str(out)])
     assert rc == 1
+
+
+def _failing_certificate(*args, **kwargs):
+    return SpectrumCertificate(eigenvalues=np.array([0.25 + 0j]), min_real=0.25,
+                               spectral_radius=0.25, claim="a claim that fails",
+                               passed=False, details={})
+
+
+def test_cli_diagnose_exits_2_on_a_failed_certificate(fixtures, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(freeconv.cli, "delta_omega_spectrum", _failing_certificate)
+    out = tmp_path / "certs.json"
+    rc = run_command(["diagnose", "--problem", fixtures["gamma.json"],
+                      "--b1", fixtures["b_i.json"], "--b2", fixtures["b_2i.json"],
+                      "--q", fixtures["q.json"], "--u", fixtures["u.json"],
+                      "--out", str(out)])
+    assert rc == 2
+    data = load_json(out)
+    assert data["delta_omega"]["pass"] is False
+    assert data["dvg"]["pass"] is True
+    assert "FAIL" in capsys.readouterr().out
+
+
+def test_cli_diagnose_checks_q_and_u_before_solving(fixtures, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(freeconv.cli, "delta_omega_spectrum",
+                        lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "certs.json"
+    rc = run_command(["diagnose", "--problem", fixtures["gamma.json"],
+                      "--b1", fixtures["b_i.json"], "--b2", fixtures["b_2i.json"],
+                      "--u", fixtures["u.json"], "--out", str(out)])
+    assert rc == 1
+    assert calls == [] and not out.exists()
+
+
+def test_cli_axioms_exits_2_on_a_failed_check(fixtures, tmp_path, monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        return {"deviations": {"G": {"direct_sum": 0.5}}, "max_deviation": 0.5,
+                "passed": False}
+
+    monkeypatch.setattr(freeconv.cli, "nc_function_axioms_check", failing)
+    out = tmp_path / "axioms.json"
+    rc = run_command(["axioms", "--problem", fixtures["gamma.json"],
+                      "--a", fixtures["a_high.json"], "--b", fixtures["b_high.json"],
+                      "--out", str(out)])
+    assert rc == 2
+    data = load_json(out)
+    assert data["pass"] is False and data["max_deviation"] == 0.5
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_cli_jc_probe(fixtures, tmp_path):

@@ -23,6 +23,7 @@ from freeconv.algebra import (
     opnorm,
     real_part,
     unvec,
+    upper_block,
     vec,
 )
 from freeconv.subordination import _omega_derivative, _picard_stack, g_q
@@ -243,6 +244,59 @@ def test_divided_difference_of_distinct_points_is_the_difference(kind, n, m, lev
     got = divided_difference(f2, w1, w2, (w1 - w2)[None])[0]
     f1, fw2 = f(w1), f(w2)
     assert opnorm(got - (f1 - fw2)) <= 1e-10 * (opnorm(f1) + opnorm(fw2))
+
+
+def _embed2(b, m):
+    """b otimes 1_m entry by entry, written with np.kron."""
+    return np.stack([np.kron(x, np.eye(m)) for x in b])
+
+
+def _eta2(eta, x):
+    """eta at level 2 as sum_j (1_2 otimes K_j) x (1_2 otimes K_j)*."""
+    out = 0
+    for K in eta.kraus:
+        A = np.kron(np.eye(2), K)
+        out = out + A @ x @ A.conj().T
+    return out
+
+
+def _block_points(rng, n, shared, diagonal):
+    """Four points [[w1, c], [0, w2]] with w1, w2 drawn by diagonal(); with
+    shared, every entry has the same w1 and w2."""
+    def draws():
+        return np.stack([diagonal() for _ in range(4)]) if not shared else \
+            np.broadcast_to(diagonal(), (4, n, n))
+    cs = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
+    return upper_block(draws(), cs, draws())
+
+
+@pytest.mark.parametrize("kind", ["h_map", "cauchy", "g_q"])
+@pytest.mark.parametrize("shared", [True, False])
+@settings(max_examples=10, deadline=None, database=None)
+@given(n=st.integers(2, 3), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_block_triangular_level_two_maps_match_dense_inverses(kind, shared, n, m, seed):
+    # at [[w1, c], [0, w2]] the resolvents go through algebra.inv's diagonal
+    # blocks; the oracle inverts the whole 2N x 2N matrix
+    rng = np.random.default_rng(seed)
+    prob = random_problem(rng, n=n, m=m)
+    model, eta = prob.model, prob.eta
+    X2 = np.kron(np.eye(2), model.X)
+    if kind == "g_q":
+        q2 = identity_kron(2, 0.1 * np.eye(n) + random_psd(rng, n))
+        U = _block_points(rng, n, shared, lambda: random_hermitian(rng, n))
+        V = _block_points(rng, n, shared, lambda: np.eye(n) + random_psd(rng, n))
+        Y = X2 - _embed2(U, m)
+        inner = Y @ _embed2(np.linalg.inv(V), m) @ Y + _embed2(V, m)
+        got, want = g_q(prob, q2, U, V, 2), q2 + _eta2(eta, np.linalg.inv(inner))
+    else:
+        W = _block_points(rng, n, shared, lambda: random_upper(rng, n))
+        if kind == "h_map":
+            got, want = prob.h_map(W, 2), _eta2(eta, np.linalg.inv(X2 - _embed2(W, m)))
+        else:
+            got = model.cauchy(W, 2)
+            want = model.expect(np.linalg.inv(_embed2(W, m) - X2), 2)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert not got[:, n:, :n].any()
 
 
 def test_newton_safeguard_falls_back_to_damped_picard():
