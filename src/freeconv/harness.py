@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .algebra import require_hermitian
 from .model import ScalarMeasure
@@ -109,9 +108,16 @@ def haar_unitary(rng: np.random.Generator, size: int) -> np.ndarray:
 
 
 def semicircle_quantiles(size: int, t: float) -> np.ndarray:
-    """Quantiles of the semicircle law of variance t at (j - 1/2)/size."""
+    """Quantiles of the semicircle law of variance t at (j - 1/2)/size.
+
+    Each quantile is a ``scipy.optimize.brentq`` root, imported here so that
+    ``import freeconv`` loads no ``scipy.optimize``; the first call in a
+    process pays that import (about 0.45 s).
+    """
     if t == 0.0:
         return np.zeros(size)
+    from scipy.optimize import brentq
+
     r = 2.0 * np.sqrt(t)
 
     def cdf(x: float) -> float:

@@ -1,0 +1,42 @@
+"""Import cost of the package: the root finders load scipy.optimize lazily."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import freeconv
+
+from _oracles import point_v_curve
+
+COLD_START = """
+import json, sys
+import freeconv, freeconv.cli
+loaded = sorted(m for m in sys.modules if m.startswith("scipy."))
+from freeconv import ScalarMeasure
+from freeconv.harness import semicircle_quantiles
+from freeconv.transforms import biane_v_scalar
+v = biane_v_scalar(ScalarMeasure.point(0.0), 1.0, 0.5)
+q = semicircle_quantiles(5, 1.0).tolist()
+print(json.dumps({"loaded": loaded, "v": v, "q": q}))
+"""
+
+
+def test_import_loads_no_scipy_optimize_or_linalg():
+    src = str(Path(freeconv.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", COLD_START],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert [m for m in out["loaded"]
+            if m.startswith(("scipy.optimize", "scipy.linalg"))] == []
+    # the first calls import brentq themselves and give the closed forms
+    assert abs(out["v"] - point_v_curve(0.5, 1.0)) <= 1e-10
+    q = np.array(out["q"])
+    cdf = 0.5 + (q * np.sqrt(4.0 - q * q) / 4.0 + np.arcsin(q / 2.0)) / np.pi
+    assert np.max(np.abs(cdf - (np.arange(5) + 0.5) / 5)) < 1e-10

@@ -320,6 +320,20 @@ def test_cli_density_non_convergence(fixtures, tmp_path):
     assert "# failures:" in out.read_text()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--xmin", "-1", "--xmax", "1", "--eps", "0.01,0.01"], "epsilons must be distinct"),
+    (["--xmin", "1", "--xmax", "-1", "--eps", "1e-2,5e-3"], "abscissae"),
+    (["--xmin", "-1", "--xmax", "nan", "--eps", "1e-2,5e-3"], "abscissae"),
+])
+def test_cli_density_rejects_bad_grids(fixtures, tmp_path, capsys, flags, message):
+    out = tmp_path / "rho.csv"
+    rc = run_command(["density", "--problem", fixtures["gamma.json"],
+                      "--steps", "5", "--out", str(out)] + flags)
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_power(fixtures, tmp_path):
     out = tmp_path / "g.json"
     rc = run_command(["power", "--model", fixtures["bern.json"],

@@ -96,6 +96,20 @@ def test_imaginary_part_grows_under_subordination():
         assert np.linalg.eigvalsh(gap)[0] >= -1e-11
 
 
+@settings(max_examples=20, deadline=None, database=None)
+@given(n=st.integers(2, 3), m=st.integers(1, 3), level=st.integers(1, 2),
+       margin=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_imaginary_part_grows_under_subordination_property(n, m, level, margin, seed):
+    # Im omega(b) - Im b is positive semidefinite for b in the upper half-plane
+    rng = np.random.default_rng(seed)
+    prob = random_problem(rng, n=n, m=m)
+    b = random_upper(rng, n * level, margin=margin)
+    rep = solve_omega(prob, b)
+    assert rep.converged
+    gap = imag_part(rep.value) - imag_part(b)
+    assert np.linalg.eigvalsh(gap)[0] >= -1e-11
+
+
 def test_level_consistency_of_subordination():
     rng = np.random.default_rng(12)
     prob = random_problem(rng, n=2, m=2)

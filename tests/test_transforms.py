@@ -215,6 +215,15 @@ def test_density_grid_single_epsilon_and_validation():
         density_grid(prob, us, ())
     with pytest.raises(ValueError):
         density_grid(prob, us, (1e-3, -1e-4))
+    with pytest.raises(ValueError, match="epsilons must be positive and finite"):
+        density_grid(prob, us, (1e-2, np.nan))
+    for eps in [(1e-2, 1e-2), (2e-2, 1e-2, 2e-2)]:
+        with pytest.raises(ValueError, match="epsilons must be distinct"):
+            density_grid(prob, us, eps)
+    for bad in [us[::-1], np.linspace(-1.0, np.nan, 11), [0.0, np.inf],
+                [0.0, 0.5, 0.5, 1.0]]:
+        with pytest.raises(ValueError, match="abscissae must be finite and strictly increasing"):
+            density_grid(prob, bad, (1e-2, 5e-3))
     with pytest.raises(TypeError, match="str"):
         density_grid("x", us, (1e-2,))
 
