@@ -15,9 +15,15 @@ keeps S within (in + out) times the storage of the Kraus operators.  At
 level k > 1 both kernels act on the k x k blocks of the input.
 
 Derivatives are read off 2x2 block upper triangular points
-[[w1, c], [0, w2]] (divided_difference).  Their resolvents are block upper
-triangular too, and inv inverts such a point through its two diagonal
-blocks, once per stack when every entry shares a block.
+[[w1, c], [0, w2]] (divided_difference), held as a BlockUpper: the three
+blocks top, corner and bottom, without the zero lower-left block.  A
+diagonal block shared by a whole stack of directions is held once as a 2-d
+array, and one shared by both diagonals (w1 = w2) is one array.  inv,
+kron_with_identity, CPMap.apply and + - @ act on the blocks, so the maps
+built from them (the resolvents, h_map, g_q) never form the 2N x 2N point.
+Those maps also split a dense point at an even level whose lower-left half
+block is exactly zero (split), as the iterates of an amplified solve are,
+and assemble the result (dense).
 """
 
 from __future__ import annotations
@@ -132,6 +138,8 @@ def kron_with_identity(b: np.ndarray, m: int) -> np.ndarray:
     """
     if m == 1:
         return b
+    if isinstance(b, BlockUpper):
+        return b.map_blocks(lambda blk: kron_with_identity(blk, m))
     b = np.asarray(b, dtype=complex)
     d = b.shape[-1]
     out = np.zeros(b.shape[:-2] + (d, m, d, m), dtype=complex)
@@ -178,55 +186,176 @@ def upper_block(top_left, top_right, bottom_right) -> np.ndarray:
     return out
 
 
-def inv(a: np.ndarray, level: int) -> np.ndarray:
-    """np.linalg.inv of a (stacked) point of an amplification at level k.
+class BlockUpper:
+    """A (stacked) 2x2 block upper triangular point [[top, corner], [0, bottom]].
 
-    At an even level a point whose lower-left half block is exactly zero is
-    [[A, C], [0, D]], with inverse [[A^-1, -A^-1 C D^-1], [0, D^-1]]: the
-    diagonal blocks, points at level k/2, are inverted the same way, and
-    each only once when every entry of the stack shares it (a divided
-    difference over a stack of directions, or an amplified solve whose
-    diagonal blocks are the level-k/2 iterates).  The lower-left block of
-    the result is exactly zero again.  Any other point goes to np.linalg.inv.
+    It stands for its dense matrix (dense()) without storing the zero
+    lower-left block.  A diagonal block that every entry of the
+    stack shares is held once as a 2-d array and broadcasts against the
+    corner stack; a block shared by both diagonals is the same object in
+    top and bottom, and every operation computes its image once.  + - @ act
+    blockwise on another BlockUpper, or on a dense operand whose lower-left
+    half block is exactly zero; with any other operand the result is the
+    dense one.  The blocks are read-only values: no operation writes into
+    them.
     """
-    if level % 2:
-        return np.linalg.inv(a)
-    d = a.shape[-1] // 2
-    if a[..., d:, :d].any():
-        return np.linalg.inv(a)
-    top = _inv_diagonal_block(a[..., :d, :d], level // 2)
-    bottom = _inv_diagonal_block(a[..., d:, d:], level // 2)
-    out = np.zeros(a.shape, dtype=complex)
-    out[..., :d, :d] = top
-    out[..., :d, d:] = -(top @ a[..., :d, d:]) @ bottom
-    out[..., d:, d:] = bottom
-    return out
+
+    __slots__ = ("top", "corner", "bottom")
+    __array_ufunc__ = None      # ndarray op BlockUpper defers to the reflected method
+
+    def __init__(self, top, corner, bottom):
+        self.top, self.corner, self.bottom = top, corner, bottom
+
+    @property
+    def shape(self) -> tuple:
+        d = self.corner.shape[-1]
+        lead = np.broadcast_shapes(self.top.shape[:-2], self.corner.shape[:-2],
+                                   self.bottom.shape[:-2])
+        return lead + (2 * d, 2 * d)
+
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def dense(self) -> np.ndarray:
+        d = self.corner.shape[-1]
+        out = np.zeros(self.shape, dtype=complex)
+        out[..., :d, :d] = self.top
+        out[..., :d, d:] = self.corner
+        out[..., d:, d:] = self.bottom
+        return out
+
+    def map_blocks(self, diagonal: Callable, corner: Callable | None = None) -> "BlockUpper":
+        """[[diagonal(top), corner(c)], [0, diagonal(bottom)]]; corner defaults
+        to diagonal, as for a linear map applied blockwise."""
+        top = diagonal(self.top)
+        bottom = top if self.bottom is self.top else diagonal(self.bottom)
+        return BlockUpper(top, (corner or diagonal)(self.corner), bottom)
+
+    def _pairwise(self, other, op, reverse: bool = False):
+        if not isinstance(other, BlockUpper):
+            other = np.asarray(other)
+            blocks = split(np.broadcast_to(other, np.broadcast_shapes(
+                other.shape, self.shape[-2:])), 2)
+            if not isinstance(blocks, BlockUpper):
+                x = self.dense()
+                return op(other, x) if reverse else op(x, other)
+            other = blocks
+        x, y = (other, self) if reverse else (self, other)
+        top = op(x.top, y.top)
+        shared = x.bottom is x.top and y.bottom is y.top
+        bottom = top if shared else op(x.bottom, y.bottom)
+        if op is np.matmul:
+            corner = x.top @ y.corner + x.corner @ y.bottom
+        else:
+            corner = op(x.corner, y.corner)
+        return BlockUpper(top, corner, bottom)
+
+    def __add__(self, other):
+        return self._pairwise(other, np.add)
+
+    def __radd__(self, other):
+        return self._pairwise(other, np.add, reverse=True)
+
+    def __sub__(self, other):
+        return self._pairwise(other, np.subtract)
+
+    def __rsub__(self, other):
+        return self._pairwise(other, np.subtract, reverse=True)
+
+    def __matmul__(self, other):
+        return self._pairwise(other, np.matmul)
+
+    def __rmatmul__(self, other):
+        return self._pairwise(other, np.matmul, reverse=True)
+
+    def __neg__(self):
+        return self.map_blocks(np.negative)
 
 
-def _inv_diagonal_block(block: np.ndarray, level: int) -> np.ndarray:
-    """inv of a stack of diagonal blocks: one inverse (a 2-d array, which
-    broadcasts) when every entry equals the first, else one per entry."""
-    if block.ndim > 2 and block.size > block.shape[-1] ** 2:
+def _shared_block(block: np.ndarray) -> np.ndarray:
+    """The first entry (2-d) when every entry of a stacked block equals it."""
+    if block.ndim > 2:
         first = block.reshape((-1,) + block.shape[-2:])[0]
         if (block == first).all():
-            return inv(first, level)
-    return inv(block, level)
+            return first
+    return block
 
 
-def divided_difference(fmap: Callable[[np.ndarray], np.ndarray], w1: np.ndarray,
-                       w2: np.ndarray, cs: np.ndarray) -> np.ndarray:
+def split(a, level: int):
+    """The BlockUpper form of a dense (stacked) point at an even level whose
+    lower-left half block is exactly zero; every other point is returned as
+    it is.  A diagonal block equal in every entry of the stack is kept once
+    (2-d), and equal diagonal blocks become one array."""
+    if level % 2 or isinstance(a, BlockUpper):
+        return a
+    d = a.shape[-1] // 2
+    if a.shape[-1] % 2 or a[..., d:, :d].any():
+        return a
+    top = _shared_block(a[..., :d, :d])
+    bottom = _shared_block(a[..., d:, d:])
+    if top.shape == bottom.shape and np.array_equal(top, bottom):
+        bottom = top
+    return BlockUpper(top, a[..., :d, d:], bottom)
+
+
+def dense(x) -> np.ndarray:
+    """The dense matrix of a BlockUpper; an array is returned as it is."""
+    return x.dense() if isinstance(x, BlockUpper) else x
+
+
+def inv(a, level: int):
+    """Inverse of a (stacked) point of an amplification at level k.
+
+    A BlockUpper point, and a dense point at an even level whose lower-left
+    half block is exactly zero (split), is [[A, C], [0, D]], with inverse
+    [[A^-1, -A^-1 C D^-1], [0, D^-1]]: the diagonal blocks, points at level
+    k/2, are inverted the same way, a block shared by the stack or by both
+    diagonals only once.  A BlockUpper gives a BlockUpper, a dense point a
+    dense point whose lower-left block is exactly zero again.  Any other
+    point goes to np.linalg.inv.
+    """
+    x = split(a, level)
+    if not isinstance(x, BlockUpper):
+        return np.linalg.inv(a)
+    top = inv(x.top, level // 2)
+    bottom = top if x.bottom is x.top else inv(x.bottom, level // 2)
+    out = BlockUpper(top, -(top @ x.corner) @ bottom, bottom)
+    return out if x is a else out.dense()
+
+
+def _diagonal_stack(w, shape: tuple) -> np.ndarray:
+    """A diagonal block for divided_difference: 2-d when it is one matrix,
+    else broadcast to the stack and flattened."""
+    w = np.asarray(w, dtype=complex)
+    d = shape[-1]
+    if w.size == d * d:
+        return w.reshape(d, d)
+    return np.broadcast_to(w, shape).reshape((-1, d, d))
+
+
+def divided_difference(fmap: Callable, w1: np.ndarray, w2: np.ndarray,
+                       cs: np.ndarray) -> np.ndarray:
     """Delta f(w1, w2)[c] for each direction c in the stack cs.
 
     For an nc function f the (1, 2) block of f([[w1, c], [0, w2]]) is the
     difference quotient Delta f(w1, w2)[c], linear in c, and at w1 = w2 = w
-    the derivative Df(w)[c].  fmap evaluates f on a stack of 2d x 2d points
-    in one call; w1 and w2 broadcast against cs.
+    the derivative Df(w)[c].  fmap evaluates f on a flat stack of such
+    points in one call, given as a BlockUpper, and returns a BlockUpper or
+    a dense stack; w1 and w2 broadcast against cs.  A diagonal that is one
+    matrix is passed once, and w1 is w2 passes one block for both diagonals.
     """
     d = cs.shape[-1]
     shape = np.broadcast_shapes(np.shape(w1), np.shape(w2), cs.shape)
-    blocks = upper_block(np.broadcast_to(w1, shape), cs, np.broadcast_to(w2, shape))
-    top = fmap(blocks.reshape((-1, 2 * d, 2 * d)))[:, :d, d:]
-    return top.reshape(shape)
+    top = _diagonal_stack(w1, shape)
+    bottom = top if w2 is w1 else _diagonal_stack(w2, shape)
+    corner = np.broadcast_to(np.asarray(cs, dtype=complex), shape).reshape((-1, d, d))
+    out = fmap(BlockUpper(top, corner, bottom))
+    corner = out.corner if isinstance(out, BlockUpper) else out[..., :d, d:]
+    return corner.reshape(shape)
 
 
 def c_scale(c: np.ndarray, margin1: float, margin2: float) -> np.ndarray:
@@ -306,8 +435,14 @@ class CPMap:
         S.flags.writeable = False
         return S
 
-    def apply(self, x: np.ndarray, level: int = 1) -> np.ndarray:
-        """Evaluate the map (blockwise at amplification level > 1)."""
+    def apply(self, x, level: int = 1):
+        """Evaluate the map (blockwise at amplification level > 1); a
+        BlockUpper point at level k is mapped block by block at level k/2."""
+        if isinstance(x, BlockUpper):
+            return x.map_blocks(lambda blk: self._apply(blk, level // 2))
+        return self._apply(x, level)
+
+    def _apply(self, x: np.ndarray, level: int) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
         o, i = self.out_dim, self.in_dim
         d = i * level

@@ -9,6 +9,7 @@ timestamps, so reruns are byte-identical), and honor one exit-code contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -334,7 +335,10 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--damping", type=float, default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, so every command shares it."""
     parser = argparse.ArgumentParser(
         prog="freeconv",
         description="Numerics for operator-valued free convolutions")

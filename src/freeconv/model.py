@@ -19,15 +19,18 @@ import numpy as np
 from .algebra import (
     HERMITIAN_TOL,
     POSITIVITY_TOL,
+    BlockUpper,
     amplification_level,
     as_element,
     dag,
+    dense,
     identity_kron,
     in_halfplane,
     inv,
     kron_with_identity,
     opnorm,
     require_hermitian,
+    split,
 )
 
 
@@ -112,12 +115,19 @@ class OperatorModel:
         w = self.weights
         return bool(np.allclose(w, 1.0 / w.size, atol=1e-15))
 
-    def embed(self, b: np.ndarray) -> np.ndarray:
-        """B -> A (or M_k(B) -> M_k(A)): tensor with the identity factor."""
+    def embed(self, b):
+        """B -> A (or M_k(B) -> M_k(A)): tensor with the identity factor;
+        a BlockUpper is embedded block by block."""
         return kron_with_identity(b, self.factor_dim)
 
-    def expect(self, x: np.ndarray, level: int = 1) -> np.ndarray:
-        """Weighted partial trace, applied blockwise at amplification level k."""
+    def expect(self, x, level: int = 1):
+        """Weighted partial trace, applied blockwise at amplification level k;
+        a BlockUpper point at level k is mapped block by block at level k/2."""
+        if isinstance(x, BlockUpper):
+            return x.map_blocks(lambda blk: self._expect(blk, level // 2))
+        return self._expect(x, level)
+
+    def _expect(self, x: np.ndarray, level: int) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
         n, m = self.base_dim, self.factor_dim
         d = level * n * m
@@ -154,8 +164,11 @@ class OperatorModel:
         b is a (stacked) point of M_k(C); at level 1 each term is a scalar
         division, at level k > 1 one k x k inverse per eigenvalue.  With
         base_dim 1 the Cauchy transform and the generic nonlinearity of a
-        subordination problem have this form.
+        subordination problem have this form.  A BlockUpper b is summed as its
+        dense matrix, and the sum is split again (algebra.split).
         """
+        if isinstance(b, BlockUpper):
+            return split(self.spectral_sum(c, b.dense(), level), level)
         lam = self.spectrum[0]
         b = np.asarray(b, dtype=complex)
         if b.shape[-1] != level or b.shape[-2] != level:
@@ -184,17 +197,34 @@ class OperatorModel:
             self._amplified_X[level] = Xk
         return Xk
 
-    def resolvent(self, b: np.ndarray, level: int = 1) -> np.ndarray:
-        """(b - X otimes 1_k)^{-1}, batched over leading axes of b; a block
-        upper triangular b is inverted through its diagonal blocks (algebra.inv)."""
-        return inv(self.embed(b) - self.amplified_X(level), level)
+    def centered(self, b, level: int = 1):
+        """b otimes 1_m - 1_k otimes X, the point every resolvent inverts;
+        block by block for a BlockUpper b."""
+        if isinstance(b, BlockUpper):
+            Xh = self.amplified_X(level // 2)
+            return self.embed(b).map_blocks(lambda blk: blk - Xh, lambda c: c)
+        return self.embed(b) - self.amplified_X(level)
 
-    def cauchy(self, b: np.ndarray, level: int = 1) -> np.ndarray:
+    def resolvent(self, b, level: int = 1):
+        """(b - X otimes 1_k)^{-1}, batched over leading axes of b.
+
+        A BlockUpper b, or a dense b at an even level whose lower-left half
+        block is exactly zero (algebra.split), is inverted through its
+        diagonal blocks; a dense b gives a dense result.
+        """
+        x = split(b, level)
+        R = inv(self.centered(x, level), level)
+        return R if isinstance(b, BlockUpper) else dense(R)
+
+    def cauchy(self, b, level: int = 1):
         """(E otimes Id_k)[(b - X otimes 1_k)^{-1}]; a scalar base sums over
-        the spectrum of X, a larger base inverts the dense resolvent."""
+        the spectrum of X, a larger base inverts the resolvent, block by
+        block at a block upper triangular b (see resolvent)."""
         if self.base_dim == 1:
             return self.spectral_sum(self._cauchy_weights, b, level)
-        return self.expect(self.resolvent(b, level), level)
+        x = split(b, level)
+        G = self.expect(self.resolvent(x, level), level)
+        return G if isinstance(b, BlockUpper) else dense(G)
 
     def cauchy_stack(self, b_stack: np.ndarray, level: int = 1, cfg=None):
         """(G values, converged mask) on a stack; a model needs no solve."""

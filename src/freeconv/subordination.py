@@ -39,12 +39,14 @@ from typing import Callable
 import numpy as np
 
 from .algebra import (
+    BlockUpper,
     CPMap,
     HERMITIAN_TOL,
     POSITIVITY_TOL,
     amplification_level,
     as_element,
     choi_minus_identity_min,
+    dense,
     divided_difference,
     identity_kron,
     imag_part,
@@ -55,6 +57,7 @@ from .algebra import (
     opnorm_stack,
     require_halfplane,
     require_hermitian,
+    split,
     unvec,
     vec,
 )
@@ -161,8 +164,9 @@ class SubordinationProblem:
 
     def cauchy_stack(self, b_stack: np.ndarray, level: int = 1,
                      cfg: SolverConfig = DEFAULT_CONFIG):
-        """(G values, converged mask): G(b) = G_X(omega(b)) after a batched solve."""
-        w, _, _, ok = solve_omega_stack(self, b_stack, cfg, level)
+        """(G values, converged mask): G(b) = G_X(omega(b)) after a batched
+        solve, which takes dense points (a BlockUpper stack is assembled)."""
+        w, _, _, ok = solve_omega_stack(self, dense(b_stack), cfg, level)
         return self.model.cauchy(w, level), ok
 
     # -- the nonlinear part of the fixed-point map ------------------------
@@ -177,19 +181,21 @@ class SubordinationProblem:
         """Evaluate the problem's nonlinearity on a (stacked) half-plane point.
 
         Over a scalar base the generic eta[(X - w)^{-1}] is the spectral sum
-        -sum_j c_j (w - lambda_j)^{-1}; a larger base inverts the dense
-        resolvent (through its diagonal blocks at a block upper triangular
-        w, see algebra.inv) and applies eta (through its natural matrix when
-        eta has many Kraus operators, see CPMap.apply).
+        -sum_j c_j (w - lambda_j)^{-1}; a larger base inverts the resolvent
+        and applies eta (through its natural matrix when eta has many Kraus
+        operators, see CPMap.apply).  A BlockUpper w, or a dense w at an even
+        level whose lower-left half block is exactly zero (algebra.split), is
+        evaluated block by block; a dense w gives a dense value.
         """
+        if self.variant == "generic" and self.base_dim == 1:
+            return -self.model.spectral_sum(self._eta_weights, w, level)
+        x = split(w, level)
         if self.variant == "generic":
-            if self.base_dim == 1:
-                return -self.model.spectral_sum(self._eta_weights, w, level)
-            R = inv(self.model.amplified_X(level) - self.model.embed(w), level)
-            return self.eta.apply(R, level)
-        G = self.model.cauchy(w, level)
-        h = np.linalg.inv(G) - w
-        return self.alpha.apply(h, level) - h
+            out = -self.eta.apply(inv(self.model.centered(x, level), level), level)
+        else:
+            h = inv(self.model.cauchy(x, level), level) - x
+            out = self.alpha.apply(h, level) - h
+        return out if isinstance(w, BlockUpper) else dense(out)
 
     def shift(self, level: int = 1) -> np.ndarray:
         n = self.model.base_dim
@@ -331,7 +337,8 @@ def _omega_derivative(problem: SubordinationProblem, level: int):
         return problem.h_map(x, 2 * level)
 
     def derivative(w, idx):
-        top = divided_difference(h2, w[:, None], w[:, None], units)
+        wk = w[:, None]
+        top = divided_difference(h2, wk, wk, units)
         return np.swapaxes(vec(top), -1, -2)
 
     return derivative
@@ -388,19 +395,32 @@ def _require_generic(problem: SubordinationProblem, op: str) -> None:
         raise ValueError(f"{op} requires a generic-variant problem with an explicit eta map")
 
 
-def g_q(problem: SubordinationProblem, q, u: np.ndarray, v: np.ndarray,
-        level: int = 1) -> np.ndarray:
+def _gq_resolvent(model: OperatorModel, u, v, level: int):
+    """(C, V, ((X - u) v^{-1} (X - u) + v)^{-1}) with C = u otimes 1_m -
+    1_k otimes X and V = v^{-1} otimes 1_m, in the ambient algebra at level k.
+
+    v is inverted in M_k(B) and then embedded, since (v otimes 1_m)^{-1} =
+    v^{-1} otimes 1_m, and (X - u) V (X - u) = C V C.  Both inverses go
+    through algebra.inv, block by block for BlockUpper u and v.
+    """
+    C = model.centered(u, level)
+    V = model.embed(inv(v, level))
+    return C, V, inv(C @ V @ C + model.embed(v), level)
+
+
+def g_q(problem: SubordinationProblem, q, u, v, level: int = 1):
     """g_q(u, v) = q + eta[((X - u) v^{-1} (X - u) + v)^{-1}] at level k.
 
-    Batched over leading axes of u and v.  v is inverted in M_k(B) and then
-    embedded, since (v otimes 1_m)^{-1} = v^{-1} otimes 1_m.  Both inverses
-    go through algebra.inv, so block upper triangular u and v at level 2k
-    keep the lower-left block of every factor exactly zero.
+    Batched over leading axes of u and v.  BlockUpper u and v, or dense ones
+    at an even level whose lower-left half block is exactly zero
+    (algebra.split), are evaluated block by block; the value is dense unless
+    u or v is a BlockUpper.
     """
-    model = problem.model
-    Y = model.amplified_X(level) - model.embed(u)
-    inner = Y @ model.embed(inv(v, level)) @ Y + model.embed(v)
-    return q + problem.eta.apply(inv(inner, level), level)
+    x, y = split(u, level), split(v, level)
+    out = q + problem.eta.apply(_gq_resolvent(problem.model, x, y, level)[2], level)
+    if isinstance(u, BlockUpper) or isinstance(v, BlockUpper):
+        return out
+    return dense(out)
 
 
 def _gq_step(problem: SubordinationProblem, q_stack: np.ndarray,
@@ -458,9 +478,5 @@ def phi_q(problem: SubordinationProblem, q, w,
     report = solve_vq(problem, q, w, cfg)
     if not report.converged:
         raise ConvergenceError("v_q solve did not converge inside phi_q", report)
-    model = problem.model
-    v = report.value
-    Y = model.X - model.embed(w)
-    vinv = model.embed(np.linalg.inv(v))
-    inner = np.linalg.inv(Y @ vinv @ Y + model.embed(v))
-    return w - problem.a - problem.eta.apply(vinv @ Y @ inner)
+    C, V, inner = _gq_resolvent(problem.model, w, report.value, 1)
+    return w - problem.a + problem.eta.apply(V @ C @ inner)

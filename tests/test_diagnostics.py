@@ -84,6 +84,27 @@ def test_delta_omega_rejects_points_outside_domain():
         delta_omega(prob, good, bad, np.array([[1.0]]))
 
 
+def test_amplified_points_are_checked_as_one_stack(monkeypatch):
+    # a direction scaled past the half-plane is named by its index in the stack
+    import freeconv.diagnostics as diagnostics
+
+    prob = point_plus_semicircle()
+    monkeypatch.setattr(diagnostics, "c_scale", lambda cs, m1, m2: np.array([1e-3, 1e3]))
+    with pytest.raises(ValueError, match="amplified point 1 is not in the upper half-plane"):
+        delta_omega(prob, np.array([[1j]]), np.array([[2j]]), np.array([[1.0]]))
+    # margin 0 is excluded, any positive margin accepted; one eigvalsh call
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    points = np.zeros((3, 2, 2), dtype=complex)
+    points[:] = np.diag([1e-300j, 1j])
+    diagnostics._require_upper_stack(points, "p")
+    points[2] = np.diag([0.0, 1j])
+    with pytest.raises(ValueError, match="p 2 is not"):
+        diagnostics._require_upper_stack(points, "p")
+    assert calls == [(3, 2, 2), (3, 2, 2)]
+
+
 def test_delta_omega_spectrum_certificate():
     rng = np.random.default_rng(21)
     for _ in range(6):

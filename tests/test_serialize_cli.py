@@ -19,7 +19,7 @@ from freeconv import (
     density_grid,
     scalar_to_model,
 )
-from freeconv.cli import run_command
+from freeconv.cli import build_parser, run_command
 from freeconv.serialize import (
     cp_map_from_json,
     cp_map_to_json,
@@ -532,6 +532,23 @@ def test_cli_input_error_paths(fixtures, tmp_path):
     assert run_command(["solve", "--bogus-flag"]) == 1
     assert run_command(["--help"]) == 0
     assert run_command(["solve", "--help"]) == 0
+
+
+def test_cli_parser_is_shared_without_leaking_state(fixtures, tmp_path):
+    # the parser is built once; flags of one command do not reach the next
+    assert build_parser() is build_parser()
+    first, again = tmp_path / "first.json", tmp_path / "again.json"
+    solve = ["solve", "--problem", fixtures["gamma.json"], "--point", fixtures["b_2i.json"]]
+    assert run_command(solve + ["--out", str(first)]) == 0
+    assert run_command(solve + ["--out", str(tmp_path / "short.json"), "--max-iter", "2",
+                                "--tol", "1e-9", "--damping", "0.3"]) == 2
+    density = ["density", "--problem", fixtures["gamma.json"], "--xmin", "-2",
+               "--xmax", "2", "--steps", "5", "--eps", "1e-2"]
+    assert run_command(density + ["--out", str(tmp_path / "rho.csv"), "--plot"]) == 0
+    assert run_command(solve + ["--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
+    assert run_command(density + ["--out", str(tmp_path / "plain.csv")]) == 0
+    assert (tmp_path / "rho.dat").exists() and not (tmp_path / "plain.dat").exists()
 
 
 def test_cli_module_entry_point():
