@@ -41,6 +41,7 @@ from .subordination import (
     ConvergenceError,
     DEFAULT_CONFIG,
     SolveReport,
+    SolveStack,
     SolverConfig,
     SubordinationProblem,
     phi_q,

@@ -555,8 +555,8 @@ LINEARITY_TOL = 1e-10
 
 
 def linearize_on_basis(f: Callable[[np.ndarray], np.ndarray], n: int,
-                       batch: Callable[[np.ndarray], np.ndarray] | None = None,
-                       check: bool = True) -> LinearMapOnB:
+                       batch: Callable[[np.ndarray], np.ndarray] | None = None
+                       ) -> LinearMapOnB:
     """Sample a map on matrix units and assemble its matrix on vec(B).
 
     A cheap superposition check on random inputs guards against passing a
@@ -565,12 +565,11 @@ def linearize_on_basis(f: Callable[[np.ndarray], np.ndarray], n: int,
     """
     rng = np.random.default_rng(0)
     checks = []
-    if check:
-        for _ in range(2):
-            x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            zeta = complex(rng.standard_normal(), rng.standard_normal())
-            checks.append((x, y, zeta))
+    for _ in range(2):
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        zeta = complex(rng.standard_normal(), rng.standard_normal())
+        checks.append((x, y, zeta))
 
     inputs = list(matrix_units(n))
     for x, y, zeta in checks:

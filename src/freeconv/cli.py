@@ -91,18 +91,39 @@ def _floats_csv(text: str, flag: str) -> list[float]:
     return vals
 
 
+def _number(text: str) -> float | None:
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
 def _alpha_or_point(value: str, dim: int) -> np.ndarray:
     """A real number (scaled identity point) or a path to a matrix file."""
-    try:
-        return float(value) * np.eye(dim)
-    except ValueError:
-        return _load_matrix(value, "alpha")
+    x = _number(value)
+    return _load_matrix(value, "alpha") if x is None else x * np.eye(dim)
 
 
 def _print_table(rows: list[tuple[str, str]]) -> None:
     width = max(len(name) for name, _ in rows)
     for name, outcome in rows:
         print(f"{name.ljust(width)}  {outcome}")
+
+
+def _provenance(args, config: dict, **extra) -> dict:
+    """The provenance block of a command: every input file given on its
+    command line, hashed, and the configuration.  --alpha takes a number or
+    a path, and only a path is an input file."""
+    inputs = {}
+    for name in args.files:
+        path = getattr(args, name)
+        if path and not (name == "alpha" and _number(path) is not None):
+            inputs[name] = path
+    return provenance_block(args.command, inputs, config, **extra)
+
+
+def _write(args, payload: dict, config: dict, **extra) -> None:
+    dump_json({**payload, "provenance": _provenance(args, config, **extra)}, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -115,15 +136,12 @@ def _cmd_solve(args) -> int:
     cfg = _resolve_config(file_cfg, args)
     b = _load_matrix(args.point, "point")
     rep = solve_omega(problem, b, cfg)
-    dump_json({
+    _write(args, {
         "omega": matrix_to_json(rep.value),
         "iterations": rep.iterations,
         "residual": rep.residual,
         "converged": rep.converged,
-        "provenance": provenance_block(
-            "solve", {"problem": args.problem, "point": args.point},
-            solver_config_to_json(cfg)),
-    }, args.out)
+    }, solver_config_to_json(cfg))
     if not rep.converged:
         print(f"did not converge within {cfg.max_iter} iterations "
               f"(residual {rep.residual:.3e})", file=sys.stderr)
@@ -140,11 +158,9 @@ def _cmd_density(args) -> int:
     us = np.linspace(args.xmin, args.xmax, args.steps)
     eps = _floats_csv(args.eps, "--eps")
     grid = density_grid(problem, us, eps, cfg)
-    prov = provenance_block(
-        "density", {"problem": args.problem},
-        {"solver": solver_config_to_json(cfg), "xmin": args.xmin,
-         "xmax": args.xmax, "steps": args.steps, "eps": eps})
-    density_to_csv(grid, args.out, prov)
+    density_to_csv(grid, args.out, _provenance(
+        args, {"solver": solver_config_to_json(cfg), "xmin": args.xmin,
+               "xmax": args.xmax, "steps": args.steps, "eps": eps}))
     if args.plot:
         gnuplot_data(grid, Path(args.out).with_suffix(".dat"))
     if grid.failures:
@@ -157,19 +173,14 @@ def _cmd_density(args) -> int:
 
 def _cmd_power(args) -> int:
     model = _load(args.model, model_from_json, "model")
-    try:
-        alpha = float(args.alpha)
-    except ValueError:
+    alpha = _number(args.alpha)
+    if alpha is None:
         alpha = _load(args.alpha, cp_map_from_json, "alpha")
     b = _load_matrix(args.point, "point")
     cfg = _resolve_config(None, args)
     G = convolution_power_g(model, alpha, b, cfg)
-    dump_json({
-        "G": matrix_to_json(G),
-        "provenance": provenance_block(
-            "power", {"model": args.model, "point": args.point},
-            {"solver": solver_config_to_json(cfg), "alpha": args.alpha}),
-    }, args.out)
+    _write(args, {"G": matrix_to_json(G)},
+           {"solver": solver_config_to_json(cfg), "alpha": args.alpha})
     print("wrote G")
     return 0
 
@@ -182,15 +193,8 @@ def _cmd_convolve(args) -> int:
     b = _load_matrix(args.point, "point")
     cfg = _resolve_config(None, args)
     G = semicircular_convolve_g(model, beta, b, cfg)
-    inputs = {"model": args.model, "point": args.point}
-    if args.beta is not None:
-        inputs["beta"] = args.beta
-    dump_json({
-        "G": matrix_to_json(G),
-        "provenance": provenance_block(
-            "convolve", inputs,
-            {"solver": solver_config_to_json(cfg), "t": args.t}),
-    }, args.out)
+    _write(args, {"G": matrix_to_json(G)},
+           {"solver": solver_config_to_json(cfg), "t": args.t})
     print("wrote G")
     return 0
 
@@ -203,12 +207,7 @@ def _cmd_rtransform(args) -> int:
         R = r_transform_eval(model, g, cfg)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    dump_json({
-        "R": matrix_to_json(R),
-        "provenance": provenance_block(
-            "rtransform", {"model": args.model, "arg": args.arg},
-            {"solver": solver_config_to_json(cfg)}),
-    }, args.out)
+    _write(args, {"R": matrix_to_json(R)}, {"solver": solver_config_to_json(cfg)})
     print("wrote R")
     return 0
 
@@ -218,20 +217,15 @@ def _cmd_diagnose(args) -> int:
     cfg = _resolve_config(file_cfg, args)
     b1 = _load_matrix(args.b1, "b1")
     b2 = _load_matrix(args.b2, "b2")
-    inputs = {"problem": args.problem, "b1": args.b1, "b2": args.b2}
     if (args.q is None) != (args.u is None):
         raise InputError("--q and --u must be given together")
     certs = {"delta_omega": delta_omega_spectrum(problem, b1, b2, cfg)}
     if args.q is not None:
         q = _load_matrix(args.q, "q")
         u = _load_matrix(args.u, "u")
-        inputs.update({"q": args.q, "u": args.u})
         certs["dvg"] = dvg_spectrum(problem, q, u, cfg)
-    dump_json({
-        **{name: certificate_to_json(cert) for name, cert in certs.items()},
-        "provenance": provenance_block(
-            "diagnose", inputs, {"solver": solver_config_to_json(cfg)}),
-    }, args.out)
+    _write(args, {name: certificate_to_json(cert) for name, cert in certs.items()},
+           {"solver": solver_config_to_json(cfg)})
     _print_table([(cert.claim, "PASS" if cert.passed else "FAIL")
                   for cert in certs.values()])
     return 0 if all(cert.passed for cert in certs.values()) else 2
@@ -246,18 +240,8 @@ def _cmd_jc_probe(args) -> int:
     u = _load_matrix(args.u, "u") if args.u else np.eye(n)
     ys = _floats_csv(args.schedule, "--schedule")
     result = jc_probe(problem, alpha, v, u, ys, cfg)
-    inputs = {"problem": args.problem}
-    if args.v:
-        inputs["v"] = args.v
-    if args.u:
-        inputs["u"] = args.u
-    dump_json({
-        "probe": jc_probe_to_json(result),
-        "provenance": provenance_block(
-            "jc-probe", inputs,
-            {"solver": solver_config_to_json(cfg), "alpha": args.alpha,
-             "schedule": ys}),
-    }, args.out)
+    _write(args, {"probe": jc_probe_to_json(result)},
+           {"solver": solver_config_to_json(cfg), "alpha": args.alpha, "schedule": ys})
     if result.truncated_at is not None:
         print(result.reason, file=sys.stderr)
         return 2
@@ -276,17 +260,12 @@ def _cmd_axioms(args) -> int:
     b = _load_matrix(args.b, "b")
     T = _load_matrix(args.T, "T") if args.T else None
     res = nc_function_axioms_check(problem, a, b, T, cfg)
-    inputs = {"problem": args.problem, "a": args.a, "b": args.b}
-    if args.T:
-        inputs["T"] = args.T
-    dump_json({
+    _write(args, {
         "deviations": {name: {k: float(v) for k, v in dev.items()}
                        for name, dev in res["deviations"].items()},
         "max_deviation": res["max_deviation"],
         "pass": res["passed"],
-        "provenance": provenance_block(
-            "axioms", inputs, {"solver": solver_config_to_json(cfg)}),
-    }, args.out)
+    }, {"solver": solver_config_to_json(cfg)})
     rows = [(f"{name} {kind}", f"{value:.3e}")
             for name, dev in res["deviations"].items()
             for kind, value in dev.items()]
@@ -310,17 +289,12 @@ def _cmd_validate_rmt(args) -> int:
     print(f"KS distance: {ks:.6f} (threshold {args.threshold:g}) "
           f"-> {'PASS' if passed else 'FAIL'}")
     if args.out:
-        dump_json({
+        _write(args, {
             "ks_distance": ks,
             "threshold": args.threshold,
             "pass": passed,
             "eigenvalue_count": int(emp.eigenvalues.size),
-            "provenance": provenance_block(
-                "validate-rmt",
-                {"ensemble": args.ensemble, "against": args.against},
-                {"threshold": args.threshold},
-                rng_algorithm=RNG_ALGORITHM),
-        }, args.out)
+        }, {"threshold": args.threshold}, rng_algorithm=RNG_ALGORITHM)
     return 0 if passed else 2
 
 
@@ -329,10 +303,25 @@ def _cmd_validate_rmt(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--damping", type=float, default=None)
+_REQUIRED = {"required": True}
+_OPTIONAL = {"default": None}
+
+
+def _subcommand(sub, name: str, func, help: str, files: dict, flags: dict | None = None,
+                solver: bool = True) -> None:
+    """Add a subcommand: its input-file flags, which are also its provenance
+    inputs, its other flags (both flag -> add_argument keywords) and --out.
+    A command that solves a fixed point (solver=True) requires --out and
+    takes the solver flags; otherwise --out is optional."""
+    p = sub.add_parser(name, help=help)
+    for flag, kwargs in {**files, **(flags or {})}.items():
+        p.add_argument(flag, **kwargs)
+    p.add_argument("--out", required=solver, default=None)
+    if solver:
+        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--max-iter", type=int, default=None)
+        p.add_argument("--damping", type=float, default=None)
+    p.set_defaults(func=func, files=[flag[2:] for flag in files])
 
 
 @functools.cache
@@ -344,93 +333,50 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerics for operator-valued free convolutions")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="solve the subordination fixed point at one point")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument("--out", required=True)
-    _add_solver_flags(p)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("density", help="recover a spectral density on a grid")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--xmin", type=float, required=True)
-    p.add_argument("--xmax", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--eps", required=True,
-                   help="comma-separated offsets above the real axis")
-    p.add_argument("--out", required=True)
-    p.add_argument("--plot", action="store_true",
-                   help="also write a gnuplot data file next to the CSV")
-    _add_solver_flags(p)
-    p.set_defaults(func=_cmd_density)
-
-    p = sub.add_parser("power", help="Cauchy transform of a free convolution power")
-    p.add_argument("--model", required=True)
-    p.add_argument("--alpha", required=True,
-                   help="a number >= 1 or a path to a CP-map file")
-    p.add_argument("--point", required=True)
-    p.add_argument("--out", required=True)
-    _add_solver_flags(p)
-    p.set_defaults(func=_cmd_power)
-
-    p = sub.add_parser("convolve",
-                       help="Cauchy transform of model plus free semicircular noise")
-    p.add_argument("--model", required=True)
-    p.add_argument("--t", type=float, default=None, help="scalar covariance")
-    p.add_argument("--beta", default=None, help="path to a CP-map covariance file")
-    p.add_argument("--point", required=True)
-    p.add_argument("--out", required=True)
-    _add_solver_flags(p)
-    p.set_defaults(func=_cmd_convolve)
-
-    p = sub.add_parser("rtransform", help="evaluate the R-transform near zero")
-    p.add_argument("--model", required=True)
-    p.add_argument("--arg", required=True, help="path to the argument matrix file")
-    p.add_argument("--out", required=True)
-    _add_solver_flags(p)
-    p.set_defaults(func=_cmd_rtransform)
-
-    p = sub.add_parser("diagnose",
-                       help="spectrum certificates for the difference quotient maps")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--b1", required=True)
-    p.add_argument("--b2", required=True)
-    p.add_argument("--q", default=None)
-    p.add_argument("--u", default=None)
-    p.add_argument("--out", required=True)
-    _add_solver_flags(p)
-    p.set_defaults(func=_cmd_diagnose)
-
-    p = sub.add_parser("jc-probe", help="boundary regularity probe at a real point")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--alpha", required=True,
-                   help="a real number or a path to a selfadjoint matrix file")
-    p.add_argument("--schedule", required=True,
-                   help="comma-separated decreasing heights y")
-    p.add_argument("--v", default=None, help="approach direction (default identity)")
-    p.add_argument("--u", default=None, help="probe direction (default identity)")
-    p.add_argument("--out", required=True)
-    _add_solver_flags(p)
-    p.set_defaults(func=_cmd_jc_probe)
-
-    p = sub.add_parser("validate-rmt",
-                       help="sample an ensemble and compare against a density sheet")
-    p.add_argument("--ensemble", required=True)
-    p.add_argument("--against", required=True)
-    p.add_argument("--threshold", type=float, default=0.05)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_validate_rmt)
-
-    p = sub.add_parser("axioms",
-                       help="direct-sum and similarity deviations for G, h, omega")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--T", default=None)
-    p.add_argument("--out", required=True)
-    _add_solver_flags(p)
-    p.set_defaults(func=_cmd_axioms)
-
+    _subcommand(sub, "solve", _cmd_solve, "solve the subordination fixed point at one point",
+                {"--problem": _REQUIRED, "--point": _REQUIRED})
+    _subcommand(sub, "density", _cmd_density, "recover a spectral density on a grid",
+                {"--problem": _REQUIRED},
+                {"--xmin": {"type": float, "required": True},
+                 "--xmax": {"type": float, "required": True},
+                 "--steps": {"type": int, "required": True},
+                 "--eps": {"required": True,
+                           "help": "comma-separated offsets above the real axis"},
+                 "--plot": {"action": "store_true",
+                            "help": "also write a gnuplot data file next to the CSV"}})
+    _subcommand(sub, "power", _cmd_power, "Cauchy transform of a free convolution power",
+                {"--model": _REQUIRED,
+                 "--alpha": {"required": True,
+                             "help": "a number >= 1 or a path to a CP-map file"},
+                 "--point": _REQUIRED})
+    _subcommand(sub, "convolve", _cmd_convolve,
+                "Cauchy transform of model plus free semicircular noise",
+                {"--model": _REQUIRED,
+                 "--beta": {"default": None, "help": "path to a CP-map covariance file"},
+                 "--point": _REQUIRED},
+                {"--t": {"type": float, "default": None, "help": "scalar covariance"}})
+    _subcommand(sub, "rtransform", _cmd_rtransform, "evaluate the R-transform near zero",
+                {"--model": _REQUIRED,
+                 "--arg": {"required": True, "help": "path to the argument matrix file"}})
+    _subcommand(sub, "diagnose", _cmd_diagnose,
+                "spectrum certificates for the difference quotient maps",
+                {"--problem": _REQUIRED, "--b1": _REQUIRED, "--b2": _REQUIRED,
+                 "--q": _OPTIONAL, "--u": _OPTIONAL})
+    _subcommand(sub, "jc-probe", _cmd_jc_probe, "boundary regularity probe at a real point",
+                {"--problem": _REQUIRED,
+                 "--alpha": {"required": True,
+                             "help": "a real number or a path to a selfadjoint matrix file"},
+                 "--v": {"default": None, "help": "approach direction (default identity)"},
+                 "--u": {"default": None, "help": "probe direction (default identity)"}},
+                {"--schedule": {"required": True,
+                                "help": "comma-separated decreasing heights y"}})
+    _subcommand(sub, "validate-rmt", _cmd_validate_rmt,
+                "sample an ensemble and compare against a density sheet",
+                {"--ensemble": _REQUIRED, "--against": _REQUIRED},
+                {"--threshold": {"type": float, "default": 0.05}}, solver=False)
+    _subcommand(sub, "axioms", _cmd_axioms,
+                "direct-sum and similarity deviations for G, h, omega",
+                {"--problem": _REQUIRED, "--a": _REQUIRED, "--b": _REQUIRED, "--T": _OPTIONAL})
     return parser
 
 

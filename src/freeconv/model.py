@@ -230,11 +230,6 @@ class OperatorModel:
         """(G values, converged mask) on a stack; a model needs no solve."""
         return self.cauchy(b_stack, level), np.ones(len(b_stack), dtype=bool)
 
-    def trace_b(self, b: np.ndarray) -> complex:
-        """Normalized trace on B, the scalar state used for densities."""
-        b = as_element(b, "trace argument")
-        return complex(np.trace(b) / b.shape[0])
-
 
 def cauchy_transform(model: OperatorModel, b, level: int | None = None) -> np.ndarray:
     """Matricial Cauchy transform G(b) = (E otimes Id_k)[(b - X otimes 1_k)^{-1}].

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -100,6 +100,12 @@ class SolveReport:
     residual: float
     converged: bool
 
+    def require(self, message: str) -> np.ndarray:
+        """The value, or ConvergenceError(message) carrying this report."""
+        if not self.converged:
+            raise ConvergenceError(message, self)
+        return self.value
+
 
 class ConvergenceError(RuntimeError):
     """Raised by operations that need a converged solve; carries the report."""
@@ -107,6 +113,30 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, report: SolveReport):
         super().__init__(message)
         self.report = report
+
+
+class SolveStack(NamedTuple):
+    """One batched solve, entry by entry: the final iterates, the steps
+    taken (max_iter where unconverged), the final residual in spectral norm
+    and the converged flag."""
+
+    value: np.ndarray
+    iterations: np.ndarray
+    residual: np.ndarray
+    converged: np.ndarray
+
+    def report(self, i: int) -> SolveReport:
+        return SolveReport(value=self.value[i], iterations=int(self.iterations[i]),
+                           residual=float(self.residual[i]),
+                           converged=bool(self.converged[i]))
+
+    def require(self, message: str) -> np.ndarray:
+        """The values, or ConvergenceError(message) carrying the report of
+        the first entry that did not converge."""
+        bad = np.flatnonzero(~self.converged)
+        if bad.size:
+            raise ConvergenceError(message, self.report(bad[0]))
+        return self.value
 
 
 @dataclass(frozen=True)
@@ -246,8 +276,15 @@ def _in_upper_halfplane(w: np.ndarray) -> np.ndarray:
 
 def _picard_stack(step: Callable[[np.ndarray, np.ndarray], np.ndarray],
                   w0: np.ndarray, cfg: SolverConfig,
-                  derivative: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None):
+                  derivative: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+                  ) -> SolveStack:
     """Solve w = step(w) entrywise on a batch.
+
+    The result is one SolveStack record: per entry the final iterate, the
+    steps taken (max_iter where unconverged), the final residual and the
+    converged flag.  It unpacks as (w, iterations, residual, converged);
+    report(i) gives entry i as a SolveReport, and require(message) returns
+    the values or raises ConvergenceError with the first unconverged entry.
 
     step(w_active, idx) evaluates the fixed-point map on the active subset;
     idx holds the original batch indices so that closures can slice their
@@ -302,12 +339,7 @@ def _picard_stack(step: Callable[[np.ndarray, np.ndarray], np.ndarray],
     if active.size:
         w[active] = wa
         residual[active] = opnorm_stack(step(wa, active) - wa)
-    return w, iterations, residual, converged
-
-
-def _single(w, iterations, residual, converged) -> SolveReport:
-    return SolveReport(value=w[0], iterations=int(iterations[0]),
-                       residual=float(residual[0]), converged=bool(converged[0]))
+    return SolveStack(w, iterations, residual, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +377,8 @@ def _omega_derivative(problem: SubordinationProblem, level: int):
 
 
 def solve_omega_stack(problem: SubordinationProblem, b_stack: np.ndarray,
-                      cfg: SolverConfig = DEFAULT_CONFIG, level: int | None = None):
+                      cfg: SolverConfig = DEFAULT_CONFIG,
+                      level: int | None = None) -> SolveStack:
     """Batched solve over a stack of upper half-plane points (shared level)."""
     b_stack = np.asarray(b_stack, dtype=complex)
     k = amplification_level(b_stack, problem.base_dim) if level is None else level
@@ -363,7 +396,7 @@ def solve_omega(problem: SubordinationProblem, b,
     configured residual tolerance; non-convergence is reported, not raised.
     """
     b = require_halfplane(as_element(b, "b"), "upper", POSITIVITY_TOL, name="b")
-    return _single(*solve_omega_stack(problem, b[None], cfg))
+    return solve_omega_stack(problem, b[None], cfg).report(0)
 
 
 def residual_h(problem: SubordinationProblem, w, b) -> float:
@@ -433,7 +466,7 @@ def _gq_step(problem: SubordinationProblem, q_stack: np.ndarray,
 
 def solve_gq_stack(problem: SubordinationProblem, q_stack: np.ndarray,
                    u_stack: np.ndarray, cfg: SolverConfig = DEFAULT_CONFIG,
-                   level: int | None = None):
+                   level: int | None = None) -> SolveStack:
     """Batched v_q solves; u entries may be non-selfadjoint amplifications."""
     _require_generic(problem, "solve_vq")
     q_stack = np.asarray(q_stack, dtype=complex)
@@ -463,7 +496,7 @@ def solve_vq(problem: SubordinationProblem, q, u,
     u = require_hermitian(u, name="u")
     if q.shape != u.shape:
         raise ValueError("q and u must have matching shapes")
-    return _single(*solve_gq_stack(problem, q[None], u[None], cfg))
+    return solve_gq_stack(problem, q[None], u[None], cfg).report(0)
 
 
 def phi_q(problem: SubordinationProblem, q, w,
@@ -475,8 +508,6 @@ def phi_q(problem: SubordinationProblem, q, w,
     """
     _require_generic(problem, "phi_q")
     w = require_hermitian(w, name="w")
-    report = solve_vq(problem, q, w, cfg)
-    if not report.converged:
-        raise ConvergenceError("v_q solve did not converge inside phi_q", report)
-    C, V, inner = _gq_resolvent(problem.model, w, report.value, 1)
+    v = solve_vq(problem, q, w, cfg).require("v_q solve did not converge inside phi_q")
+    C, V, inner = _gq_resolvent(problem.model, w, v, 1)
     return w - problem.a + problem.eta.apply(V @ C @ inner)

@@ -14,6 +14,7 @@ from freeconv import (
     horodisc_membership,
     jc_probe,
     nc_function_axioms_check,
+    phi_q,
     scalar_to_model,
     semicircle_problem,
     solve_omega,
@@ -240,6 +241,24 @@ def test_nc_axioms_input_validation():
     far_b = np.array([[-2.0 + 1j]])
     with pytest.raises(ValueError):
         nc_function_axioms_check(prob, far_a, far_b, T=bad_T)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda p, cfg: delta_omega(p, [[2j]], [[3j]], [[1.0]], cfg), id="delta_omega"),
+    pytest.param(lambda p, cfg: dvg_spectrum(p, [[0.1]], [[0.0]], cfg), id="dvg_spectrum"),
+    pytest.param(lambda p, cfg: vq_derivative(p, [[0.1]], [[0.2]], [[1.0]], cfg),
+                 id="vq_derivative"),
+    pytest.param(lambda p, cfg: phi_q(p, [[0.1]], [[0.2]], cfg), id="phi_q"),
+    pytest.param(lambda p, cfg: nc_function_axioms_check(
+        p, [[0.1 + 2.0j]], [[-0.2 + 2.2j]], cfg=cfg), id="nc_function_axioms_check"),
+])
+def test_certificates_raise_convergence_error_with_the_failed_report(call):
+    with pytest.raises(ConvergenceError) as err:
+        call(point_plus_semicircle(), SolverConfig(max_iter=3))
+    report = err.value.report
+    assert report.converged is False
+    assert report.iterations == 3
+    assert np.isfinite(report.residual) and report.residual > 1e-12
 
 
 def test_horodisc_membership_scalar_geometry():

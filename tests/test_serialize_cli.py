@@ -551,6 +551,110 @@ def test_cli_parser_is_shared_without_leaking_state(fixtures, tmp_path):
     assert (tmp_path / "rho.dat").exists() and not (tmp_path / "plain.dat").exists()
 
 
+@pytest.fixture(scope="module")
+def optional_inputs(fixtures, tmp_path_factory):
+    """The fixture files plus files for the optional and number-or-file
+    flags, and a density sheet for validate-rmt."""
+    root = tmp_path_factory.mktemp("optional")
+    paths = dict(fixtures)
+    for name, data in [
+            ("alpha_map.json", cp_map_to_json(CPMap.scaled_identity(2.0, 1))),
+            ("beta_map.json", cp_map_to_json(CPMap.scaled_identity(1.0, 1))),
+            ("alpha3.json", matrix_to_json(np.array([[3.0]]))),
+            ("v.json", matrix_to_json(np.array([[1.5]]))),
+            ("T.json", matrix_to_json(np.array([[2.0, 1.0], [0.0, 1.0]])))]:
+        dump_json(data, root / name)
+        paths[name] = str(root / name)
+    rho = root / "rho.csv"
+    assert run_command(["density", "--problem", fixtures["bern_gamma.json"],
+                        "--xmin", "-3.8", "--xmax", "3.8", "--steps", "41",
+                        "--eps", "2e-2,1e-2", "--out", str(rho)]) == 0
+    paths["rho.csv"] = str(rho)
+    return paths
+
+
+def _provenance_of(out):
+    if out.suffix == ".csv":
+        first = out.read_text().splitlines()[0]
+        return json.loads(first.removeprefix("# provenance: "))
+    return load_json(out)["provenance"]
+
+
+# command, the flags whose value is a file name (or a number for --alpha),
+# and the other arguments
+PROVENANCE_CASES = [
+    pytest.param("solve", {"--problem": "gamma.json", "--point": "b_2i.json"}, [],
+                 id="solve"),
+    pytest.param("density", {"--problem": "gamma.json"},
+                 ["--xmin", "-2", "--xmax", "2", "--steps", "5", "--eps", "1e-2"],
+                 id="density"),
+    pytest.param("power", {"--model": "bern.json", "--alpha": "2", "--point": "b_i.json"},
+                 [], id="power-alpha-number"),
+    pytest.param("power", {"--model": "bern.json", "--alpha": "alpha_map.json",
+                           "--point": "b_i.json"}, [], id="power-alpha-file"),
+    pytest.param("convolve", {"--model": "bern.json", "--point": "b_2i.json"},
+                 ["--t", "1.0"], id="convolve-t"),
+    pytest.param("convolve", {"--model": "bern.json", "--beta": "beta_map.json",
+                              "--point": "b_2i.json"}, [], id="convolve-beta"),
+    pytest.param("rtransform", {"--model": "bern.json", "--arg": "g_small.json"}, [],
+                 id="rtransform"),
+    pytest.param("diagnose", {"--problem": "gamma.json", "--b1": "b_i.json",
+                              "--b2": "b_2i.json"}, [], id="diagnose"),
+    pytest.param("diagnose", {"--problem": "gamma.json", "--b1": "b_i.json",
+                              "--b2": "b_2i.json", "--q": "q.json", "--u": "u.json"}, [],
+                 id="diagnose-q-u"),
+    pytest.param("jc-probe", {"--problem": "gamma.json", "--alpha": "3"},
+                 ["--schedule", "1,1e-1"], id="jc-probe-alpha-number"),
+    pytest.param("jc-probe", {"--problem": "gamma.json", "--alpha": "alpha3.json",
+                              "--v": "v.json", "--u": "v.json"},
+                 ["--schedule", "1,1e-1"], id="jc-probe-alpha-file-v-u"),
+    pytest.param("axioms", {"--problem": "gamma.json", "--a": "a_high.json",
+                            "--b": "b_high.json"}, [], id="axioms"),
+    pytest.param("axioms", {"--problem": "gamma.json", "--a": "a_high.json",
+                            "--b": "b_high.json", "--T": "T.json"}, [], id="axioms-T"),
+    pytest.param("validate-rmt", {"--ensemble": "ensemble.json", "--against": "rho.csv"},
+                 ["--threshold", "1.0"], id="validate-rmt"),
+]
+
+
+@pytest.mark.parametrize("command, flags, rest", PROVENANCE_CASES)
+def test_cli_provenance_names_exactly_the_input_files(optional_inputs, tmp_path,
+                                                      command, flags, rest):
+    argv = [command]
+    for flag, value in flags.items():
+        argv += [flag, optional_inputs.get(value, value)]
+    out = tmp_path / ("out.csv" if command == "density" else "out.json")
+    assert run_command(argv + rest + ["--out", str(out)]) == 0
+    prov = _provenance_of(out)
+    assert prov["command"] == command
+    expected = {flag[2:]: optional_inputs[value] for flag, value in flags.items()
+                if value in optional_inputs}
+    assert prov["inputs"] == {name: {"path": path, "sha256": sha256_of(path)}
+                              for name, path in expected.items()}
+
+
+@pytest.mark.parametrize("command, rest, data, edited", [
+    ("power", ["--model", "bern.json", "--point", "b_i.json"],
+     cp_map_to_json(CPMap.scaled_identity(2.0, 1)),
+     cp_map_to_json(CPMap.scaled_identity(3.0, 1))),
+    ("jc-probe", ["--problem", "gamma.json", "--schedule", "1,1e-1"],
+     matrix_to_json(np.array([[3.0]])), matrix_to_json(np.array([[3.5]]))),
+], ids=["power", "jc-probe"])
+def test_cli_alpha_file_is_hashed_into_provenance(fixtures, tmp_path, command, rest,
+                                                  data, edited):
+    alpha = tmp_path / "alpha.json"
+    argv = [command, "--alpha", str(alpha), "--out", str(tmp_path / "out.json")]
+    argv += [fixtures.get(arg, arg) for arg in rest]
+    shas = []
+    for content in (data, edited):
+        dump_json(content, alpha)
+        assert run_command(argv) == 0
+        prov = load_json(tmp_path / "out.json")["provenance"]
+        assert prov["inputs"]["alpha"] == {"path": str(alpha), "sha256": sha256_of(alpha)}
+        shas.append(prov["inputs"]["alpha"]["sha256"])
+    assert shas[0] != shas[1]
+
+
 def test_cli_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "freeconv.cli", "--help"],

@@ -4,8 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from freeconv import (
     CPMap,
+    ConvergenceError,
     OperatorModel,
     ScalarMeasure,
+    SolveStack,
     SolverConfig,
     SubordinationProblem,
     phi_q,
@@ -128,6 +130,30 @@ def test_stack_solve_matches_single_solves():
     for k in range(4):
         single = solve_omega(prob, bs[k])
         assert opnorm(w[k] - single.value) < 1e-10
+
+
+def test_solve_stack_record_reports_and_requires_per_entry():
+    prob = point_gamma_problem()
+    bs = np.array([[[2j]], [[2.0 + 1e-2j]]])
+    out = solve_omega_stack(prob, bs, SolverConfig(max_iter=30))
+    assert isinstance(out, SolveStack)
+    w, iters, res, ok = out
+    assert out[0] is w and out[1] is iters and out[3] is ok
+    assert ok.tolist() == [True, False] and iters.tolist() == [17, 30]
+    rep = out.report(1)
+    assert (rep.iterations, rep.residual, rep.converged) == (30, res[1], False)
+    assert np.array_equal(rep.value, w[1])
+    with pytest.raises(ConvergenceError, match="second point") as err:
+        out.require("second point")
+    assert err.value.report.iterations == 30 and np.array_equal(err.value.report.value, w[1])
+    with pytest.raises(ConvergenceError, match="one point") as err:
+        rep.require("one point")
+    assert err.value.report is rep
+    first = solve_omega_stack(prob, bs[:1])
+    assert first.require("unused") is first.value
+    single = solve_omega(prob, bs[0])
+    assert single.require("unused") is single.value
+    assert np.array_equal(single.value, w[0]) and single.iterations == 17
 
 
 def test_non_convergence_is_reported_not_raised():
