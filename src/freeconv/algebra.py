@@ -327,14 +327,12 @@ def inv(a, level: int):
     return out if x is a else out.dense()
 
 
-def _diagonal_stack(w, shape: tuple) -> np.ndarray:
+def _diagonal_block(w, d: int) -> np.ndarray:
     """A diagonal block for divided_difference: 2-d when it is one matrix,
-    else broadcast to the stack and flattened."""
+    else as given, so that it broadcasts against the corner stack instead of
+    being repeated for every direction."""
     w = np.asarray(w, dtype=complex)
-    d = shape[-1]
-    if w.size == d * d:
-        return w.reshape(d, d)
-    return np.broadcast_to(w, shape).reshape((-1, d, d))
+    return w.reshape(d, d) if w.size == d * d else w
 
 
 def divided_difference(fmap: Callable, w1: np.ndarray, w2: np.ndarray,
@@ -343,16 +341,19 @@ def divided_difference(fmap: Callable, w1: np.ndarray, w2: np.ndarray,
 
     For an nc function f the (1, 2) block of f([[w1, c], [0, w2]]) is the
     difference quotient Delta f(w1, w2)[c], linear in c, and at w1 = w2 = w
-    the derivative Df(w)[c].  fmap evaluates f on a flat stack of such
-    points in one call, given as a BlockUpper, and returns a BlockUpper or
-    a dense stack; w1 and w2 broadcast against cs.  A diagonal that is one
-    matrix is passed once, and w1 is w2 passes one block for both diagonals.
+    the derivative Df(w)[c].  fmap evaluates f on a stack of such points in
+    one call, given as a BlockUpper, and returns a BlockUpper or a dense
+    stack.  The corner is cs broadcast against w1 and w2; the diagonals keep
+    their own shapes, so a batch of w1 of shape (B, 1, d, d) against d^2
+    directions (B, d^2, d, d) is one block per entry, and a diagonal that is
+    one matrix is passed once (2-d).  w1 is w2 passes one block for both
+    diagonals.  The stack is flat (one leading axis) when w1, w2 and cs are.
     """
     d = cs.shape[-1]
     shape = np.broadcast_shapes(np.shape(w1), np.shape(w2), cs.shape)
-    top = _diagonal_stack(w1, shape)
-    bottom = top if w2 is w1 else _diagonal_stack(w2, shape)
-    corner = np.broadcast_to(np.asarray(cs, dtype=complex), shape).reshape((-1, d, d))
+    top = _diagonal_block(w1, d)
+    bottom = top if w2 is w1 else _diagonal_block(w2, d)
+    corner = np.broadcast_to(np.asarray(cs, dtype=complex), shape)
     out = fmap(BlockUpper(top, corner, bottom))
     corner = out.corner if isinstance(out, BlockUpper) else out[..., :d, d:]
     return corner.reshape(shape)
@@ -407,8 +408,8 @@ class CPMap:
     @classmethod
     def scaled_identity(cls, scale: float, dim: int) -> "CPMap":
         scale = float(scale)
-        if scale < 0:
-            raise ValueError("scale must be nonnegative")
+        if not (np.isfinite(scale) and scale >= 0):
+            raise ValueError("scale must be finite and nonnegative")
         K = np.sqrt(scale) * np.eye(dim, dtype=complex)
         return cls(kraus=(K,), out_dim=dim, in_dim=dim,
                    kind="scaled_identity", scale=scale)

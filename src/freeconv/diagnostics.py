@@ -29,6 +29,7 @@ from .algebra import (
     lambda_min,
     linearize_on_basis,
     opnorm,
+    opnorm_stack,
     real_part,
     require_halfplane,
     require_hermitian,
@@ -385,12 +386,19 @@ def jc_probe(problem: SubordinationProblem, alpha, v, u, y_schedule,
              cfg: SolverConfig = DEFAULT_CONFIG, sa_tol: float = 1e-3) -> JCProbeResult:
     """Probe the boundary behavior of the subordination map at a real point.
 
-    Follows omega(alpha + i y v) along the decreasing schedule with warm
-    starts, estimates the limit and the normalized imaginary direction ell,
-    and evaluates the two regularity quantities the limit should control:
-    the normalized trace of Im h(omega_limit + i y u) divided by y, and the
-    norm of the derivative of the nonlinearity h at omega_limit + i y ell
-    applied to ell (via the 2x2 amplification of h).
+    Solves omega(alpha + i y v) at every height of the decreasing schedule
+    as one batched solve, each height from the cold start b itself,
+    estimates the limit and the normalized imaginary direction ell, and
+    evaluates the two regularity quantities the limit should control: the
+    normalized trace of Im h(omega_limit + i y u) divided by y, and the norm
+    of the derivative of the nonlinearity h at omega_limit + i y ell applied
+    to ell (via the 2x2 amplification of h), both batched over the heights.
+
+    truncated_at is the first height whose solve did not converge;
+    omega_values keeps the heights before it, and the probe is then not
+    applicable.  A height that fails runs to max_iter beside the later
+    heights, whose results are discarded, so a truncated probe costs
+    max_iter steps on every height from the failing one on.
     """
     alpha = require_hermitian(alpha, name="alpha")
     v = require_hermitian(v, name="v")
@@ -402,17 +410,14 @@ def jc_probe(problem: SubordinationProblem, alpha, v, u, y_schedule,
             ys[i + 1] >= ys[i] for i in range(len(ys) - 1)):
         raise ValueError("y_schedule must be positive and strictly decreasing")
 
-    omegas: list[np.ndarray] = []
-    truncated_at = None
-    warm = None
-    for y in ys:
-        point = alpha + 1j * y * v
-        rep = solve_omega(problem, point, replace(cfg, start=warm))
-        if not rep.converged:
-            truncated_at = y
-            break
-        omegas.append(rep.value)
-        warm = rep.value
+    y_arr = np.array(ys)
+    points = np.stack([require_halfplane(alpha + 1j * y * v, "upper", POSITIVITY_TOL,
+                                         name=f"probe point at y={y:g}") for y in ys])
+    solved = solve_omega_stack(problem, points, replace(cfg, start=None))
+    failed = np.flatnonzero(~solved.converged)
+    cut = int(failed[0]) if failed.size else len(ys)
+    truncated_at = ys[cut] if failed.size else None
+    omegas = list(solved.value[:cut])
 
     im_norms = [opnorm(imag_part(w)) for w in omegas]
     increments = [opnorm(omegas[i + 1] - omegas[i]) for i in range(len(omegas) - 1)]
@@ -448,13 +453,12 @@ def jc_probe(problem: SubordinationProblem, alpha, v, u, y_schedule,
 
         if ell is not None:
             n = omega_limit.shape[0]
-            for y in ys:
-                hq = problem.h_map(omega_limit + 1j * y * u, 1)
-                tau = float(np.real(np.trace(imag_part(hq)) / n))
-                quotient.append(tau / y)
-                W = omega_limit + 1j * y * ell
-                hprime = divided_difference(lambda x: problem.h_map(x, 2), W, W, ell[None])
-                hprime_norms.append(opnorm(hprime[0]))
+            hq = problem.h_map(omega_limit + 1j * y_arr[:, None, None] * u, 1)
+            tau = np.real(np.trace(imag_part(hq), axis1=-2, axis2=-1)) / n
+            quotient = (tau / y_arr).tolist()
+            W = omega_limit + 1j * y_arr[:, None, None] * ell
+            hprime = divided_difference(lambda x: problem.h_map(x, 2), W, W, ell[None])
+            hprime_norms = opnorm_stack(hprime).tolist()
             verdicts["quotient_bounded"] = trend_ok(quotient)
             verdicts["hprime_bound"] = bool(hprime_norms[-1] <= 1.0 + 1e-3)
 

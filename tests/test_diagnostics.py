@@ -21,6 +21,7 @@ from freeconv import (
     solve_vq,
     vq_derivative,
 )
+from freeconv.algebra import opnorm
 from freeconv.subordination import DEFAULT_CONFIG
 
 from _oracles import point_dvg_eigenvalue, point_gamma_omega
@@ -356,6 +357,43 @@ def test_jc_probe_reports_truncation():
     assert not out.applicable
     assert out.truncated_at is not None
     assert "solver failed" in out.reason
+
+
+def test_jc_probe_truncates_at_the_first_failing_height():
+    model = scalar_to_model(ScalarMeasure.point(0.0))
+    prob = SubordinationProblem.generic(
+        model, CPMap.scaled_identity(1.0, 1), a=np.zeros((1, 1))
+    )
+    schedule = (1.0, 1e-2, 1e-4, 1e-6)
+    out = jc_probe(prob, np.zeros((1, 1)), np.eye(1), np.eye(1), schedule,
+                   SolverConfig(max_iter=50))
+    assert out.truncated_at == 1e-2
+    assert len(out.omega_values) == 1
+    assert out.reason == "solver failed at y=0.01"
+
+
+@pytest.mark.parametrize("case", ["point mass", "M_2"])
+def test_jc_probe_heights_match_one_point_solves(case):
+    # the heights are solved as one stack; each must be the fixed point a
+    # solve at that height alone finds
+    schedule = tuple(10.0 ** (-k) for k in range(0, 7))
+    cfg = SolverConfig(damping=0.5, max_iter=200000)
+    if case == "point mass":
+        prob = point_plus_semicircle()
+        alpha, v = 2.0 * np.eye(1), np.eye(1)
+    else:
+        c = 0.3
+        prob = semicircle_problem(OperatorModel.partial_trace(c * np.eye(2), 2),
+                                  CPMap.scaled_identity(1.0, 2))
+        alpha = (c + 2.0) * np.eye(2)
+        Q = np.linalg.qr(np.array([[1.0, 2.0], [-0.5, 1.0]]) + 0.3j)[0]
+        v = Q @ np.diag([1.0, 0.5]) @ Q.conj().T
+    out = jc_probe(prob, alpha, v, np.eye(v.shape[0]), schedule, cfg)
+    assert out.applicable and out.truncated_at is None
+    assert len(out.omega_values) == len(schedule)
+    for y, w in zip(schedule, out.omega_values):
+        ref = solve_omega(prob, alpha + 1j * y * v, cfg).require("reference solve")
+        assert opnorm(w - ref) <= 1e-10 * opnorm(ref)
 
 
 def test_jc_probe_matrix_valued_point():

@@ -344,6 +344,18 @@ def test_cli_power(fixtures, tmp_path):
     assert abs(G[0, 0] - arcsine2_g(1j)) < 1e-10
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alpha", ["inf", "nan"])
+def test_cli_power_rejects_a_non_finite_alpha(fixtures, tmp_path, capsys, alpha):
+    out = tmp_path / "g.json"
+    rc = run_command(["power", "--model", fixtures["bern.json"],
+                      "--alpha", alpha, "--point", fixtures["b_i.json"],
+                      "--out", str(out)])
+    assert rc == 1
+    assert "scale must be finite and nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_convolve(fixtures, tmp_path):
     out = tmp_path / "g.json"
     rc = run_command(["convolve", "--model", fixtures["bern.json"],
@@ -466,6 +478,16 @@ def test_cli_jc_probe_semicircle_edge_at_default_max_iter(fixtures, tmp_path):
     assert data["provenance"]["config"]["solver"]["max_iter"] == SolverConfig().max_iter
     assert data["probe"]["applicable"] is True
     assert all(data["probe"]["verdicts"].values())
+
+
+def test_cli_jc_probe_reruns_are_byte_identical(fixtures, tmp_path):
+    outs = [tmp_path / "first.json", tmp_path / "second.json"]
+    for out in outs:
+        rc = run_command(["jc-probe", "--problem", fixtures["gamma.json"],
+                          "--alpha", "2", "--schedule", "1,1e-2,1e-4,1e-6",
+                          "--damping", "0.5", "--out", str(out)])
+        assert rc == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_cli_axioms(fixtures, tmp_path, capsys):
