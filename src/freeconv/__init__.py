@@ -55,7 +55,6 @@ from .transforms import (
     ConvolutionPower,
     DensityGrid,
     SemicircularConvolution,
-    SemicircularSpec,
     biane_v_scalar,
     cauchy_eval,
     convolution_power_g,

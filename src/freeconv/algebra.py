@@ -18,12 +18,16 @@ Derivatives are read off 2x2 block upper triangular points
 [[w1, c], [0, w2]] (divided_difference), held as a BlockUpper: the three
 blocks top, corner and bottom, without the zero lower-left block.  A
 diagonal block shared by a whole stack of directions is held once as a 2-d
-array, and one shared by both diagonals (w1 = w2) is one array.  inv,
-kron_with_identity, CPMap.apply and + - @ act on the blocks, so the maps
-built from them (the resolvents, h_map, g_q) never form the 2N x 2N point.
-Those maps also split a dense point at an even level whose lower-left half
-block is exactly zero (split), as the iterates of an amplified solve are,
-and assemble the result (dense).
+array, and one shared by both diagonals (w1 = w2) is one array.
+
+One rule holds for every map of the library (the resolvents, expectations,
+CP maps, embeddings, spectral sums, h_map and g_q): given a BlockUpper it
+computes on the blocks and returns a BlockUpper, and given an array it
+computes on the array and returns an array, so no map forms the 2N x 2N
+point of a BlockUpper.  Only inv and BlockUpper's + - @ also recognise a
+dense operand at an even level whose lower-left half block is exactly zero
+(split).  The dense solver, which holds amplified iterates as arrays, splits
+them before each map call and assembles the value (dense) after it.
 """
 
 from __future__ import annotations
@@ -176,16 +180,6 @@ def direct_sum(*blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def upper_block(top_left, top_right, bottom_right) -> np.ndarray:
-    """[[top_left, top_right], [0, bottom_right]], batched over leading axes."""
-    d = top_left.shape[-1]
-    out = np.zeros(top_left.shape[:-2] + (2 * d, 2 * d), dtype=complex)
-    out[..., :d, :d] = top_left
-    out[..., :d, d:] = top_right
-    out[..., d:, d:] = bottom_right
-    return out
-
-
 class BlockUpper:
     """A (stacked) 2x2 block upper triangular point [[top, corner], [0, bottom]].
 
@@ -305,6 +299,11 @@ def split(a, level: int):
 def dense(x) -> np.ndarray:
     """The dense matrix of a BlockUpper; an array is returned as it is."""
     return x.dense() if isinstance(x, BlockUpper) else x
+
+
+def upper_block(top_left, top_right, bottom_right) -> np.ndarray:
+    """[[top_left, top_right], [0, bottom_right]], batched over leading axes."""
+    return BlockUpper(top_left, top_right, bottom_right).dense()
 
 
 def inv(a, level: int):

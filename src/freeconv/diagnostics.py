@@ -62,6 +62,13 @@ class SpectrumCertificate:
     details: dict
 
 
+def _require_same_shape(names: str, *points: np.ndarray) -> None:
+    """ValueError naming the arguments unless the points share one shape."""
+    if len({p.shape for p in points}) > 1:
+        raise ValueError(f"{names} must have matching shapes, got "
+                         + ", ".join(str(p.shape) for p in points))
+
+
 def _require_upper_stack(points: np.ndarray, name: str) -> None:
     """Every entry of a stack in the open upper half-plane (margin 0), by one
     batched eigvalsh; the error names the first entry that is not."""
@@ -114,6 +121,7 @@ def delta_omega(problem: SubordinationProblem, b1, b2, c,
     b1 = require_halfplane(as_element(b1, "b1"), "upper", POSITIVITY_TOL, name="b1")
     b2 = require_halfplane(as_element(b2, "b2"), "upper", POSITIVITY_TOL, name="b2")
     c = as_element(c, "c")
+    _require_same_shape("b1, b2 and c", b1, b2, c)
     if opnorm(c) == 0.0:
         return np.zeros_like(c)
     cs = np.stack([c, 0.5 * c])
@@ -148,6 +156,7 @@ def delta_omega_spectrum(problem: SubordinationProblem, b1, b2,
     """
     b1 = require_halfplane(as_element(b1, "b1"), "upper", POSITIVITY_TOL, name="b1")
     b2 = require_halfplane(as_element(b2, "b2"), "upper", POSITIVITY_TOL, name="b2")
+    _require_same_shape("b1 and b2", b1, b2)
     d = b1.shape[0]
     holder: dict = {}
 
@@ -247,6 +256,7 @@ def vq_derivative(problem: SubordinationProblem, q, u, c,
     q = require_hermitian(q, name="q")
     u = require_hermitian(u, name="u")
     c = require_hermitian(c, name="c")
+    _require_same_shape("c and u", c, u)
     v = solve_vq(problem, q, u, cfg).require("v_q solve did not converge")
     d = u.shape[0]
 
@@ -351,6 +361,7 @@ def horodisc_membership(center, ell, w, strict: bool = False,
     center = require_hermitian(center, name="center")
     ell = require_hermitian(ell, name="ell")
     w = require_halfplane(as_element(w, "w"), "upper", POSITIVITY_TOL, name="w")
+    _require_same_shape("center, ell and w", center, ell, w)
     shift = w - center
     quad = dag(shift) @ np.linalg.inv(imag_part(w)) @ shift
     gap = real_part(ell - quad)
@@ -382,8 +393,13 @@ class JCProbeResult:
     truncated_at: float | None = None
 
 
+# largest ||Im omega|| at the last height of a probe that counts as a
+# selfadjoint limit
+SELFADJOINT_TOL = 1e-3
+
+
 def jc_probe(problem: SubordinationProblem, alpha, v, u, y_schedule,
-             cfg: SolverConfig = DEFAULT_CONFIG, sa_tol: float = 1e-3) -> JCProbeResult:
+             cfg: SolverConfig = DEFAULT_CONFIG) -> JCProbeResult:
     """Probe the boundary behavior of the subordination map at a real point.
 
     Solves omega(alpha + i y v) at every height of the decreasing schedule
@@ -403,6 +419,10 @@ def jc_probe(problem: SubordinationProblem, alpha, v, u, y_schedule,
     alpha = require_hermitian(alpha, name="alpha")
     v = require_hermitian(v, name="v")
     u = require_hermitian(u, name="u")
+    _require_same_shape("alpha, v and u", alpha, v, u)
+    if alpha.shape[0] != problem.base_dim:
+        raise ValueError(f"alpha, v and u must be points of B (size {problem.base_dim}), "
+                         f"got size {alpha.shape[0]}")
     if not (is_strictly_positive(v) and is_strictly_positive(u)):
         raise ValueError("directions v and u must be strictly positive")
     ys = tuple(float(y) for y in y_schedule)
@@ -437,7 +457,7 @@ def jc_probe(problem: SubordinationProblem, alpha, v, u, y_schedule,
         reason = f"solver failed at y={truncated_at:g}"
         applicable = False
     else:
-        selfadjoint_ok = im_norms[-1] <= sa_tol
+        selfadjoint_ok = im_norms[-1] <= SELFADJOINT_TOL
         cauchy_ok = len(increments) >= 1 and trend_ok(increments)
         verdicts["omega_selfadjoint_limit"] = bool(selfadjoint_ok)
         verdicts["omega_cauchy"] = bool(cauchy_ok)

@@ -23,14 +23,12 @@ from .algebra import (
     amplification_level,
     as_element,
     dag,
-    dense,
     identity_kron,
     in_halfplane,
     inv,
     kron_with_identity,
     opnorm,
     require_hermitian,
-    split,
 )
 
 
@@ -158,25 +156,37 @@ class OperatorModel:
         lam.flags.writeable = U.flags.writeable = False
         return lam, U
 
-    def spectral_sum(self, c: np.ndarray, b: np.ndarray, level: int = 1) -> np.ndarray:
+    def spectral_sum(self, c: np.ndarray, b, level: int = 1):
         """sum_j c_j (b - lambda_j)^{-1} over the eigenvalues lambda_j of X.
 
         b is a (stacked) point of M_k(C); at level 1 each term is a scalar
         division, at level k > 1 one k x k inverse per eigenvalue.  With
         base_dim 1 the Cauchy transform and the generic nonlinearity of a
-        subordination problem have this form.  A BlockUpper b is summed as its
-        dense matrix, and the sum is split again (algebra.split).
+        subordination problem have this form.  The corner of a BlockUpper
+        sum is -sum_j c_j R1_j C R2_j, with R1_j and R2_j the eigenvalue
+        resolvents of its diagonal blocks.
         """
-        if isinstance(b, BlockUpper):
-            return split(self.spectral_sum(c, b.dense(), level), level)
-        lam = self.spectrum[0]
-        b = np.asarray(b, dtype=complex)
-        if b.shape[-1] != level or b.shape[-2] != level:
+        if not isinstance(b, BlockUpper):
+            b = np.asarray(b, dtype=complex)
+        if b.shape[-2:] != (level, level):
             raise ValueError(f"spectral sum input shape {b.shape} does not match level {level}")
+        if isinstance(b, BlockUpper):
+            R1 = self._eigen_resolvents(b.top, level // 2)
+            R2 = R1 if b.bottom is b.top else self._eigen_resolvents(b.bottom, level // 2)
+            top = np.einsum("j,...jpq->...pq", c, R1)
+            bottom = top if R2 is R1 else np.einsum("j,...jpq->...pq", c, R2)
+            C = b.corner[..., None, :, :]
+            corner = R1 * C * R2 if level == 2 else R1 @ C @ R2   # 1 x 1 blocks commute
+            return BlockUpper(top, -np.einsum("j,...jpq->...pq", c, corner), bottom)
         if level == 1:
-            return ((1.0 / (b - lam)) @ c)[..., None]
-        R = np.linalg.inv(b[..., None, :, :] - lam[:, None, None] * np.eye(level))
-        return np.einsum("j,...jpq->...pq", c, R)
+            return ((1.0 / (b - self.spectrum[0])) @ c)[..., None]
+        return np.einsum("j,...jpq->...pq", c, self._eigen_resolvents(b, level))
+
+    def _eigen_resolvents(self, b: np.ndarray, level: int) -> np.ndarray:
+        """(b - lambda_j)^{-1} for every eigenvalue lambda_j of X, stacked on
+        axis -3: a division at level 1, a batched inverse otherwise."""
+        x = b[..., None, :, :] - self.spectrum[0][:, None, None] * np.eye(level)
+        return 1.0 / x if level == 1 else np.linalg.inv(x)
 
     @cached_property
     def _cauchy_weights(self) -> np.ndarray:
@@ -206,25 +216,15 @@ class OperatorModel:
         return self.embed(b) - self.amplified_X(level)
 
     def resolvent(self, b, level: int = 1):
-        """(b - X otimes 1_k)^{-1}, batched over leading axes of b.
-
-        A BlockUpper b, or a dense b at an even level whose lower-left half
-        block is exactly zero (algebra.split), is inverted through its
-        diagonal blocks; a dense b gives a dense result.
-        """
-        x = split(b, level)
-        R = inv(self.centered(x, level), level)
-        return R if isinstance(b, BlockUpper) else dense(R)
+        """(b - X otimes 1_k)^{-1}, batched over leading axes of b."""
+        return inv(self.centered(b, level), level)
 
     def cauchy(self, b, level: int = 1):
         """(E otimes Id_k)[(b - X otimes 1_k)^{-1}]; a scalar base sums over
-        the spectrum of X, a larger base inverts the resolvent, block by
-        block at a block upper triangular b (see resolvent)."""
+        the spectrum of X, a larger base inverts the resolvent."""
         if self.base_dim == 1:
             return self.spectral_sum(self._cauchy_weights, b, level)
-        x = split(b, level)
-        G = self.expect(self.resolvent(x, level), level)
-        return G if isinstance(b, BlockUpper) else dense(G)
+        return self.expect(self.resolvent(b, level), level)
 
     def cauchy_stack(self, b_stack: np.ndarray, level: int = 1, cfg=None):
         """(G values, converged mask) on a stack; a model needs no solve."""

@@ -39,7 +39,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .algebra import (
-    BlockUpper,
     CPMap,
     HERMITIAN_TOL,
     POSITIVITY_TOL,
@@ -197,7 +196,7 @@ class SubordinationProblem:
         """(G values, converged mask): G(b) = G_X(omega(b)) after a batched
         solve, which takes dense points (a BlockUpper stack is assembled)."""
         w, _, _, ok = solve_omega_stack(self, dense(b_stack), cfg, level)
-        return self.model.cauchy(w, level), ok
+        return dense(self.model.cauchy(split(w, level), level)), ok
 
     # -- the nonlinear part of the fixed-point map ------------------------
 
@@ -207,25 +206,20 @@ class SubordinationProblem:
         KU = np.stack(self.eta.kraus) @ self.model.spectrum[1]
         return np.sum(np.abs(KU) ** 2, axis=(0, 1))
 
-    def h_map(self, w: np.ndarray, level: int = 1) -> np.ndarray:
+    def h_map(self, w, level: int = 1):
         """Evaluate the problem's nonlinearity on a (stacked) half-plane point.
 
         Over a scalar base the generic eta[(X - w)^{-1}] is the spectral sum
         -sum_j c_j (w - lambda_j)^{-1}; a larger base inverts the resolvent
         and applies eta (through its natural matrix when eta has many Kraus
-        operators, see CPMap.apply).  A BlockUpper w, or a dense w at an even
-        level whose lower-left half block is exactly zero (algebra.split), is
-        evaluated block by block; a dense w gives a dense value.
+        operators, see CPMap.apply).
         """
         if self.variant == "generic" and self.base_dim == 1:
             return -self.model.spectral_sum(self._eta_weights, w, level)
-        x = split(w, level)
         if self.variant == "generic":
-            out = -self.eta.apply(inv(self.model.centered(x, level), level), level)
-        else:
-            h = inv(self.model.cauchy(x, level), level) - x
-            out = self.alpha.apply(h, level) - h
-        return out if isinstance(w, BlockUpper) else dense(out)
+            return -self.eta.apply(self.model.resolvent(w, level), level)
+        h = inv(self.model.cauchy(w, level), level) - w
+        return self.alpha.apply(h, level) - h
 
     def shift(self, level: int = 1) -> np.ndarray:
         n = self.model.base_dim
@@ -351,7 +345,7 @@ def _omega_step(problem: SubordinationProblem, b_stack: np.ndarray, level: int):
     ak = problem.shift(level)
 
     def step(w, idx):
-        return b_stack[idx] + ak + problem.h_map(w, level)
+        return b_stack[idx] + ak + dense(problem.h_map(split(w, level), level))
 
     return step
 
@@ -442,24 +436,16 @@ def _gq_resolvent(model: OperatorModel, u, v, level: int):
 
 
 def g_q(problem: SubordinationProblem, q, u, v, level: int = 1):
-    """g_q(u, v) = q + eta[((X - u) v^{-1} (X - u) + v)^{-1}] at level k.
-
-    Batched over leading axes of u and v.  BlockUpper u and v, or dense ones
-    at an even level whose lower-left half block is exactly zero
-    (algebra.split), are evaluated block by block; the value is dense unless
-    u or v is a BlockUpper.
-    """
-    x, y = split(u, level), split(v, level)
-    out = q + problem.eta.apply(_gq_resolvent(problem.model, x, y, level)[2], level)
-    if isinstance(u, BlockUpper) or isinstance(v, BlockUpper):
-        return out
-    return dense(out)
+    """g_q(u, v) = q + eta[((X - u) v^{-1} (X - u) + v)^{-1}] at level k,
+    batched over leading axes of u and v."""
+    return q + problem.eta.apply(_gq_resolvent(problem.model, u, v, level)[2], level)
 
 
 def _gq_step(problem: SubordinationProblem, q_stack: np.ndarray,
              u_stack: np.ndarray, level: int):
     def step(v, idx):
-        return g_q(problem, q_stack[idx], u_stack[idx], v, level)
+        u = split(u_stack[idx], level)
+        return dense(g_q(problem, q_stack[idx], u, split(v, level), level))
 
     return step
 

@@ -44,21 +44,6 @@ from .subordination import (
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
-@dataclass(frozen=True)
-class SemicircularSpec:
-    """Covariance of an operator-valued semicircular element, as a CP map on B."""
-
-    beta: CPMap
-
-    def __post_init__(self):
-        if self.beta.in_dim != self.beta.out_dim:
-            raise ValueError("a semicircular covariance acts on B")
-
-    @classmethod
-    def scalar(cls, t: float, dim: int) -> "SemicircularSpec":
-        return cls(beta=CPMap.scaled_identity(t, dim))
-
-
 def _as_cp_map(value, dim: int) -> CPMap:
     """A CPMap as given, or a scalar t as t times the identity on B."""
     if isinstance(value, CPMap):
@@ -168,10 +153,8 @@ def semicircular_convolve_g(source, beta, b,
     """G of source plus a free semicircular element with covariance beta.
 
     source is an OperatorModel or a SemicircularConvolution; beta may be a
-    CPMap on B, a SemicircularSpec, or a scalar variance t.
+    CPMap on B or a scalar variance t.
     """
-    if isinstance(beta, SemicircularSpec):
-        beta = beta.beta
     conv = SemicircularConvolution(source, _as_cp_map(beta, source.base_dim))
     b = require_halfplane(as_element(b, "b"), "upper", POSITIVITY_TOL, name="b")
     return cauchy_eval(conv, b, cfg)

@@ -512,3 +512,34 @@ def test_jc_probe_degenerate_problem_trivially_regular():
     assert abs(out.omega_limit[0, 0] - 0.3) == 0.0
     assert out.hprime_norms[-1] == 0.0
     assert out.quotient[-1] == 0.0
+
+
+def _m2_problem():
+    model = OperatorModel.partial_trace(np.diag([1.0, -1.0]), base_dim=2)
+    return semicircle_problem(model, CPMap.scaled_identity(1.0, 2))
+
+
+# each call mixes 2x2 and 3x3 points, or gives jc_probe points of M_2(B);
+# the message names the arguments
+MISMATCHED_SHAPES = {
+    "jc_probe": (lambda p: jc_probe(p, np.eye(3), np.eye(2), np.eye(2), (1.0, 0.1)),
+                 "alpha, v and u must have matching shapes"),
+    "jc_probe off B": (lambda p: jc_probe(p, 4 * np.eye(4), np.eye(4), np.eye(4), (1.0, 0.1)),
+                       "alpha, v and u must be points of B"),
+    "delta_omega": (lambda p: delta_omega(p, 1j * np.eye(2), 2j * np.eye(3), np.eye(2)),
+                    "b1, b2 and c must have matching shapes"),
+    "delta_omega_spectrum": (lambda p: delta_omega_spectrum(p, 1j * np.eye(2), 2j * np.eye(3)),
+                             "b1 and b2 must have matching shapes"),
+    "vq_derivative": (lambda p: vq_derivative(p, 0.2 * np.eye(2), np.zeros((2, 2)), np.eye(3)),
+                      "c and u must have matching shapes"),
+    "horodisc_membership": (
+        lambda p: horodisc_membership(np.zeros((2, 2)), np.eye(3), 1j * np.eye(2)),
+        "center, ell and w must have matching shapes"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISMATCHED_SHAPES))
+def test_mismatched_point_shapes_raise_a_value_error_naming_them(name):
+    call, message = MISMATCHED_SHAPES[name]
+    with pytest.raises(ValueError, match=message):
+        call(_m2_problem())

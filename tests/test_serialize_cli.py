@@ -683,3 +683,24 @@ def test_cli_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "freeconv" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["jc-probe", "diagnose"])
+def test_cli_mismatched_point_shapes_exit_1_naming_the_flag(command, tmp_path, capsys):
+    model = OperatorModel.partial_trace(np.diag([1.0, -1.0]), base_dim=2)
+    problem = tmp_path / "m2.json"
+    dump_json(problem_to_json(semicircle_problem(model, CPMap.scaled_identity(1.0, 2))), problem)
+    big, small = tmp_path / "big.json", tmp_path / "small.json"
+    dump_json(matrix_to_json(1j * np.eye(3) if command == "diagnose" else np.eye(3)), big)
+    dump_json(matrix_to_json(2j * np.eye(2)), small)
+    out = tmp_path / "out.json"
+    if command == "jc-probe":
+        argv = ["jc-probe", "--alpha", str(big), "--schedule", "1,0.1"]
+        flags = ["alpha"]
+    else:
+        argv = ["diagnose", "--b1", str(big), "--b2", str(small)]
+        flags = ["b1", "b2"]
+    rc = run_command(argv + ["--problem", str(problem), "--out", str(out)])
+    assert rc == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert "matching shapes" in err and all(flag in err for flag in flags)
