@@ -23,14 +23,8 @@ from .algebra import (
     POSITIVITY_TOL,
     amplification_level,
     as_element,
-    c_scale,
-    divided_difference,
-    imag_part,
-    linearize_on_basis,
     opnorm,
     require_halfplane,
-    vec,
-    unvec,
 )
 from .model import OperatorModel, ScalarMeasure
 from .subordination import (
@@ -39,6 +33,7 @@ from .subordination import (
     SolveReport,
     SolverConfig,
     SubordinationProblem,
+    _picard_stack,
 )
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -173,58 +168,35 @@ def convolution_power_g(model: OperatorModel, alpha, b,
 # ---------------------------------------------------------------------------
 
 
-def _cauchy_jacobian(source, w: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-    """Matrix of c -> DG(w)[c] on vec(B), from one batched evaluation at level 2.
-
-    The (1, 2) block of G([[w, lam c], [0, w]]) is exactly lam DG(w)[c] for
-    the nc function G; lam keeps the block point in the half-plane of w.
-    """
-    n = w.shape[0]
-    level = 2 * amplification_level(w, source.base_dim)
-    # a selfadjoint w has no half-plane to keep, and any lam serves a model
-    margin = float(np.min(np.abs(np.linalg.eigvalsh(imag_part(w))))) or 1.0
-
-    def cauchy(x):
-        G, ok = source.cauchy_stack(x, level, cfg)
-        _require_converged(G, ok, cfg)
-        return G
-
-    def batch(cs):
-        lams = c_scale(cs, margin, margin)[:, None, None]
-        return divided_difference(cauchy, w, w, lams * cs) / lams
-
-    return linearize_on_basis(lambda c: None, n, batch=batch).matrix
-
-
 def r_transform_eval(source, g, cfg: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """R(g) = G^{<-1>}(g) - g^{-1} by Newton iteration from w = g^{-1}.
+    """R(g) = G^{<-1>}(g) - g^{-1} for a small invertible g.
 
-    Restricted to small arguments, ||g|| (||X|| + 2) < 1/2, where the inverse
-    exists and the Newton iterates stay in the resolvent-like region.
+    With h(w) = G(w)^{-1} - w, R(g) = w - g^{-1} at the fixed point of
+    w = g^{-1} - h(w), which Picard iteration solves from w = g^{-1}.  On the
+    R-domain ||g|| (||X|| + 2) < 1/2 the map contracts strongly, and each
+    step costs one Cauchy evaluation at the level of g.  The step
+    g^{-1} - G(w)^{-1} is the error it implies for R, so cfg.tol bounds the
+    error of R; the outer solve takes at most 60 undamped steps, and
+    cfg.max_iter and cfg.damping govern the inner subordination solves.
     """
     g = as_element(g, "g")
-    n = g.shape[0]
     if not hasattr(source, "norm_bound"):
         raise TypeError(f"no norm bound for {type(source).__name__}")
-    bound = source.norm_bound()
-    if opnorm(g) * (bound + 2.0) >= 0.5:
+    if opnorm(g) * (source.norm_bound() + 2.0) >= 0.5:
         raise ValueError("outside R-domain")
+    if not np.linalg.cond(g) < 1.0 / np.finfo(float).eps:
+        raise ValueError("g must be invertible")
     ginv = np.linalg.inv(g)
-    w = ginv.copy()
-    inner_cfg = replace(cfg, tol=min(cfg.tol * 0.1, 1e-13), start=None)
-    for _ in range(60):
-        F = cauchy_eval(source, w, inner_cfg) - g
-        if opnorm(F) <= cfg.tol:
-            return w - ginv
-        J = _cauchy_jacobian(source, w, inner_cfg)
-        try:
-            delta = unvec(np.linalg.solve(J, vec(F)), n)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("outside R-domain") from exc
-        if not np.all(np.isfinite(delta)) or opnorm(delta) > 10.0 * (bound + opnorm(ginv)):
-            raise ValueError("outside R-domain")
-        w = w - delta
-    raise ValueError("outside R-domain")
+    level = amplification_level(g, source.base_dim)
+    inner_cfg = replace(cfg, start=None)
+
+    def step(w, idx):
+        G, ok = source.cauchy_stack(w, level, inner_cfg)
+        _require_converged(G, ok, inner_cfg)
+        return w + ginv - np.linalg.inv(G)
+
+    solve = _picard_stack(step, ginv[None], SolverConfig(tol=cfg.tol, max_iter=60))
+    return solve.require("R-transform fixed point did not converge")[0] - ginv
 
 
 # ---------------------------------------------------------------------------

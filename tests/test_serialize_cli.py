@@ -385,6 +385,17 @@ def test_cli_rtransform(fixtures, tmp_path):
     assert rc == 1
 
 
+def test_cli_rtransform_rejects_a_singular_argument(fixtures, tmp_path, capsys):
+    arg = tmp_path / "g_zero.json"
+    dump_json(matrix_to_json(np.zeros((1, 1))), arg)
+    out = tmp_path / "r.json"
+    rc = run_command(["rtransform", "--model", fixtures["bern.json"],
+                      "--arg", str(arg), "--out", str(out)])
+    assert rc == 1
+    assert "error: g must be invertible" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_diagnose(fixtures, tmp_path, capsys):
     out = tmp_path / "certs.json"
     rc = run_command(["diagnose", "--problem", fixtures["gamma.json"],

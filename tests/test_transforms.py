@@ -161,6 +161,71 @@ def test_r_transform_domain_guard():
         r_transform_eval(bern, np.array([[0.5j]]))
 
 
+@pytest.mark.parametrize("gv", [-1e-3j, -1e-4j])
+def test_r_transform_at_small_g_matches_closed_form(gv):
+    # G(1/g) - g = O(|g|^3): only a stopping test on the error of R resolves R here
+    bern = scalar_to_model(ScalarMeasure.symmetric_bernoulli())
+    power = ConvolutionPower(bern, CPMap.scaled_identity(2.0, 1))
+    for source, scale in ((bern, 1.0), (power, 2.0)):
+        R = r_transform_eval(source, np.array([[gv]]))[0, 0]
+        target = scale * bernoulli_r(gv)
+        assert abs(R - target) <= 1e-6 * abs(target)
+
+
+class _CountingSource:
+    def __init__(self, source):
+        self.source, self.base_dim, self.calls = source, source.base_dim, []
+
+    def norm_bound(self):
+        return self.source.norm_bound()
+
+    def cauchy_stack(self, b_stack, level=1, cfg=SolverConfig()):
+        self.calls.append((b_stack.shape, level))
+        return self.source.cauchy_stack(b_stack, level, cfg)
+
+
+def test_r_transform_evaluates_g_once_per_step_at_the_level_of_g():
+    bern = scalar_to_model(ScalarMeasure.symmetric_bernoulli())
+    for source in (bern, ConvolutionPower(bern, CPMap.scaled_identity(2.0, 1))):
+        counting = _CountingSource(source)
+        r_transform_eval(counting, np.array([[-0.02j]]))
+        assert counting.calls
+        assert all(call == ((1, 1, 1), 1) for call in counting.calls)
+    counting = _CountingSource(bern)
+    r_transform_eval(counting, direct_sum(np.array([[-0.02j]]), np.array([[-0.03j]])))
+    assert all(call == ((1, 2, 2), 2) for call in counting.calls)
+
+
+@pytest.mark.parametrize("g", [np.zeros((1, 1)), np.diag([-0.02j, 0.0]),
+                               -0.02j * np.outer([0.6, 0.8j], [0.6, -0.8j])],
+                         ids=["zero", "rank-one", "rank-one-rounded"])
+def test_r_transform_rejects_a_singular_g(g):
+    model = scalar_to_model(ScalarMeasure.symmetric_bernoulli()) if g.shape[0] == 1 \
+        else random_model(np.random.default_rng(3), 2, 2)
+    with pytest.raises(ValueError, match="g must be invertible"):
+        r_transform_eval(model, g)
+
+
+# b* has Im b* negative definite; norm 0.04 keeps g in the R-domain of every source below
+small_lower_points = upper_points().map(lambda b: 0.04 * b.conj().T / np.linalg.norm(b, 2))
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), g1=small_lower_points, g2=small_lower_points,
+       t=st.floats(1.0, 3.0))
+def test_matrix_r_transform_inverts_g_and_respects_direct_sums_and_powers(seed, g1, g2, t):
+    model = random_model(np.random.default_rng(seed), 2, 2)
+    R1, R2 = r_transform_eval(model, g1), r_transform_eval(model, g2)
+    # G is flat near infinity (G' ~ g^2): scale the inverse residual into an R error
+    ginv = np.linalg.inv(g1)
+    implied = np.linalg.norm(cauchy_eval(model, R1 + ginv) - g1, 2) * np.linalg.norm(ginv, 2) ** 2
+    assert implied <= 1e-8 * (1.0 + np.max(np.abs(R1)))
+    R12 = r_transform_eval(model, direct_sum(g1, g2))
+    assert np.max(np.abs(R12 - direct_sum(R1, R2))) <= 1e-10
+    power = ConvolutionPower(model, CPMap.scaled_identity(t, 2))
+    assert np.max(np.abs(r_transform_eval(power, g1) - t * R1)) <= 1e-8
+
+
 def test_biane_curve_point_mass():
     us = np.linspace(-2.0, 2.0, 101)
     vals = np.array([biane_v_scalar(ScalarMeasure.point(0.0), 1.0, u) for u in us])
