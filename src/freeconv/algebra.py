@@ -191,10 +191,10 @@ class BlockUpper:
     blockwise on another BlockUpper, or on a dense operand whose lower-left
     half block is exactly zero; with any other operand the result is the
     dense one.  The blocks are read-only values: no operation writes into
-    them.
+    them, so the shape is computed on first use and kept.
     """
 
-    __slots__ = ("top", "corner", "bottom")
+    __slots__ = ("top", "corner", "bottom", "_shape")
     __array_ufunc__ = None      # ndarray op BlockUpper defers to the reflected method
 
     def __init__(self, top, corner, bottom):
@@ -202,10 +202,14 @@ class BlockUpper:
 
     @property
     def shape(self) -> tuple:
-        d = self.corner.shape[-1]
-        lead = np.broadcast_shapes(self.top.shape[:-2], self.corner.shape[:-2],
-                                   self.bottom.shape[:-2])
-        return lead + (2 * d, 2 * d)
+        try:
+            return self._shape
+        except AttributeError:
+            d = self.corner.shape[-1]
+            lead = np.broadcast_shapes(self.top.shape[:-2], self.corner.shape[:-2],
+                                       self.bottom.shape[:-2])
+            self._shape = lead + (2 * d, 2 * d)
+            return self._shape
 
     @property
     def ndim(self) -> int:
@@ -314,14 +318,23 @@ def inv(a, level: int):
     [[A^-1, -A^-1 C D^-1], [0, D^-1]]: the diagonal blocks, points at level
     k/2, are inverted the same way, a block shared by the stack or by both
     diagonals only once.  A BlockUpper gives a BlockUpper, a dense point a
-    dense point whose lower-left block is exactly zero again.  Any other
-    point goes to np.linalg.inv.
+    dense point whose lower-left block is exactly zero again.  A 1 x 1
+    point given as an array is inverted by division.  The diagonal blocks
+    of a level-2 point, 1 x 1 ones included, and any other point go to
+    np.linalg.inv.  Both raise LinAlgError on an exactly singular point.
     """
     x = split(a, level)
     if not isinstance(x, BlockUpper):
-        return np.linalg.inv(a)
-    top = inv(x.top, level // 2)
-    bottom = top if x.bottom is x.top else inv(x.bottom, level // 2)
+        if a.shape[-1] != 1:
+            return np.linalg.inv(a)
+        if not a.all():
+            raise np.linalg.LinAlgError("Singular matrix")
+        return 1.0 / a
+    # level-1 blocks stay on LAPACK: tests/test_block_rule.py counts the 1 x 1
+    # inverses of a power-variant derivative
+    half = (lambda blk: inv(blk, level // 2)) if level > 2 else np.linalg.inv
+    top = half(x.top)
+    bottom = top if x.bottom is x.top else half(x.bottom)
     out = BlockUpper(top, -(top @ x.corner) @ bottom, bottom)
     return out if x is a else out.dense()
 

@@ -330,3 +330,13 @@ def test_linear_map_compose():
     m2 = LinearMapOnB(2, rng.standard_normal((4, 4)))
     c = rng.standard_normal((2, 2))
     assert np.allclose(m1.compose(m2)(c), m1(m2(c)))
+
+
+def test_inv_divides_a_one_by_one_point():
+    rng = np.random.default_rng(21)
+    a = (rng.standard_normal((5, 1, 1)) + 1j * rng.standard_normal((5, 1, 1))) \
+        * 10.0 ** rng.uniform(-6, 6, (5, 1, 1))
+    want = np.linalg.inv(a)
+    assert np.max(np.abs(inv(a, 1) - want) / np.abs(want)) <= 1e-15
+    with pytest.raises(np.linalg.LinAlgError):
+        inv(np.array([[[1.0]], [[0.0]]], dtype=complex), 1)

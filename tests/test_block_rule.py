@@ -135,3 +135,16 @@ def test_scalar_base_derivative_inverts_no_dense_block(monkeypatch):
 
     _omega_derivative(power, 1)(w, np.arange(len(w)))
     assert shapes and all(shape[-2:] == (1, 1) for shape in shapes)
+
+
+def test_scalar_power_solve_inverts_by_division(monkeypatch):
+    bernoulli = scalar_to_model(ScalarMeasure.symmetric_bernoulli())
+    power = SubordinationProblem.power(bernoulli, CPMap.scaled_identity(2.0, 1))
+    # Picard steps only: a Newton derivative inverts its 1 x 1 blocks with
+    # np.linalg.inv (see test_scalar_base_derivative_inverts_no_dense_block)
+    b = np.array([0.5 + 1j, -1.2 + 0.5j, 3.0 + 0.2j])[:, None, None]
+    calls = _record(monkeypatch, np.linalg, "inv")
+    solved = solve_omega_stack(power, b)
+    assert solved.converged.all()
+    assert solved.iterations.max() <= subordination._newton_budget(1)
+    assert calls == []
