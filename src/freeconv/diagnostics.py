@@ -1,12 +1,15 @@
 """Derivative spectra, noncommutative-function checks, and boundary probes.
 
-Difference quotients of the subordination map are extracted from fixed-point
-solves amplified to upper-triangular 2x2 block arguments: the (1, 2) block of
-omega([[b1, c], [0, b2]]) is linear in c and recovers the difference quotient
-Delta omega(b1, b2).  The maps with a closed form (the right inverse H, the
-v_q update g_q, the nonlinearity h) are differentiated by
-algebra.divided_difference on the maps themselves, so each certificate still
-compares an amplified solve with an independent derivative of its map.
+Difference quotients of the subordination map come from the chain rule:
+omega(b) = b + a + h(omega(b)) gives Delta omega(b1, b2) =
+(I - Delta h(omega(b1), omega(b2)))^{-1}.  The maps with a closed form (the
+nonlinearity h, the v_q update g_q) are differentiated by
+algebra.divided_difference on the maps themselves, sampled on the matrix
+units by subordination._jacobians.  Fixed-point solves amplified to upper
+triangular 2x2 block arguments are the independent route: the (1, 2) block
+of omega([[b1, c], [0, b2]]) is linear in c and equals Delta omega(b1, b2)[c],
+so each certificate compares an amplified solve with the derivative of its
+map.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import (
-    LinearMapOnB,
+    BlockUpper,
     POSITIVITY_TOL,
     as_element,
     c_scale,
@@ -27,7 +30,6 @@ from .algebra import (
     imag_part,
     is_strictly_positive,
     lambda_min,
-    linearize_on_basis,
     opnorm,
     opnorm_stack,
     real_part,
@@ -42,6 +44,7 @@ from .subordination import (
     DEFAULT_CONFIG,
     SolverConfig,
     SubordinationProblem,
+    _jacobians,
     g_q,
     solve_gq_stack,
     solve_omega,
@@ -132,47 +135,39 @@ def delta_omega(problem: SubordinationProblem, b1, b2, c,
     return deltas[0]
 
 
-def _delta_h_right_inverse(problem: SubordinationProblem, w1: np.ndarray,
-                           w2: np.ndarray) -> LinearMapOnB:
-    """Difference quotient of H(w) = w - a - (nonlinearity), read off the map."""
-    d = w1.shape[0]
-    level = d // problem.base_dim
-
-    def h2(x):
-        return problem.h_map(x, 2 * level)
-
-    def batch(cs):
-        return cs - divided_difference(h2, w1, w2, cs)
-
-    return linearize_on_basis(lambda c: None, d, batch=batch)
-
-
 def delta_omega_spectrum(problem: SubordinationProblem, b1, b2,
                          cfg: SolverConfig = DEFAULT_CONFIG) -> SpectrumCertificate:
-    """Spectrum of the linearized difference quotient of the subordination map.
+    """Spectrum of the difference quotient of the subordination map.
 
-    Certifies Re(spectrum) > 1/2 and verifies the inverse relation against
-    the divided difference of the right inverse H, taken on H itself.
+    omega(b) = b + a + h(omega(b)) gives Delta omega(b1, b2) =
+    (I - Delta h(w1, w2))^{-1} at w1 = omega(b1), w2 = omega(b2), so Delta
+    omega is read as the inverse of the divided difference Delta H of the
+    right inverse H(w) = w - a - h(w), taken on h itself at the reference
+    solves.  Certifies Re(spectrum) > 1/2.  inverse_composition_error
+    compares this with an independent route: the amplified solve at
+    [[b1, lam c], [0, b2]] in a seeded random direction c gives Delta
+    omega[c], and the field is ||Delta H vec(Delta omega[c]) - vec(c)|| /
+    ||vec(c)||.
     """
     b1 = require_halfplane(as_element(b1, "b1"), "upper", POSITIVITY_TOL, name="b1")
     b2 = require_halfplane(as_element(b2, "b2"), "upper", POSITIVITY_TOL, name="b2")
     _require_same_shape("b1 and b2", b1, b2)
     d = b1.shape[0]
-    holder: dict = {}
+    level = d // problem.base_dim
+    # a fixed seed keeps the certificate identical across reruns
+    rng = np.random.default_rng(0)
+    cs = rng.standard_normal((1, d, d)) + 1j * rng.standard_normal((1, d, d))
+    amplified, w1, w2 = _delta_omega_stack(problem, b1, b2, cs, cfg)
 
-    def batch(cs):
-        deltas, w1, w2 = _delta_omega_stack(problem, b1, b2, cs, cfg)
-        holder.setdefault("w", (w1, w2))
-        return deltas
+    delta_h = _jacobians(lambda x: problem.h_map(x, 2 * level), w1[None], w2[None])[0]
+    delta_H = np.eye(d * d) - delta_h
+    residual = vec(amplified) @ delta_H.T - vec(cs)
+    inverse_error = np.max(np.linalg.norm(residual, axis=-1)
+                           / np.linalg.norm(vec(cs), axis=-1))
 
-    lin = linearize_on_basis(lambda c: None, d, batch=batch)
-    w1, w2 = holder["w"]
-    lin_h = _delta_h_right_inverse(problem, w1, w2)
-    inverse_error = opnorm(lin_h.matrix @ lin.matrix - np.eye(d * d))
-
-    eigs = lin.eigenvalues()
+    eigs = np.linalg.eigvals(np.linalg.inv(delta_H))
     min_real = float(np.min(eigs.real))
-    cert = SpectrumCertificate(
+    return SpectrumCertificate(
         eigenvalues=eigs,
         min_real=min_real,
         spectral_radius=float(np.max(np.abs(eigs))),
@@ -181,10 +176,9 @@ def delta_omega_spectrum(problem: SubordinationProblem, b1, b2,
         details={
             "inverse_composition_error": float(inverse_error),
             "right_inverse_spectrum_max_dist_to_1": float(
-                np.max(np.abs(lin_h.eigenvalues() - 1.0))),
+                np.max(np.abs(np.linalg.eigvals(delta_H) - 1.0))),
         },
     )
-    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -192,18 +186,14 @@ def delta_omega_spectrum(problem: SubordinationProblem, b1, b2,
 # ---------------------------------------------------------------------------
 
 
-def _dv_map(problem: SubordinationProblem, u: np.ndarray, v: np.ndarray) -> LinearMapOnB:
-    """Partial derivative of g_q in the fixed-point variable.
+def _dv_map(problem: SubordinationProblem, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Partial derivative of g_q in the fixed-point variable, on vec(M_n).
 
     q only shifts the diagonal blocks, so it drops out of the difference
     quotient and is passed as 0.
     """
-    u2 = identity_kron(2, u)
-
-    def batch(cs):
-        return divided_difference(lambda x: g_q(problem, 0.0, u2, x, 2), v, v, cs)
-
-    return linearize_on_basis(lambda c: None, u.shape[0], batch=batch)
+    u2 = BlockUpper(u, np.zeros_like(u), u)
+    return _jacobians(lambda x: g_q(problem, 0.0, u2, x, 2), v[None])[0]
 
 
 def dvg_spectrum(problem: SubordinationProblem, q, u,
@@ -215,8 +205,7 @@ def dvg_spectrum(problem: SubordinationProblem, q, u,
     """
     v = solve_vq(problem, q, u, cfg).require("v_q solve did not converge")
     u = require_hermitian(u, name="u")
-    lin = _dv_map(problem, u, v)
-    eigs = lin.eigenvalues()
+    eigs = np.linalg.eigvals(_dv_map(problem, u, v))
     radius = float(np.max(np.abs(eigs)))
     resolvent_eigs = 1.0 / (1.0 - eigs)
     return SpectrumCertificate(
@@ -263,7 +252,7 @@ def vq_derivative(problem: SubordinationProblem, q, u, c,
     dv = _dv_map(problem, u, v)
     v2 = identity_kron(2, v)
     du_c = divided_difference(lambda x: g_q(problem, 0.0, x, v2, 2), u, u, c[None])[0]
-    implicit = unvec(np.linalg.solve(np.eye(d * d) - dv.matrix, vec(du_c)), d)
+    implicit = unvec(np.linalg.solve(np.eye(d * d) - dv, vec(du_c)), d)
 
     lam = 1.0 / (1.0 + opnorm(c))
     u2 = upper_block(u, lam * c, u)

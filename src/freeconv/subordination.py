@@ -376,15 +376,19 @@ def _omega_step(problem: SubordinationProblem, b_stack: np.ndarray, level: int):
     return step
 
 
-def _jacobians(fmap: Callable, w: np.ndarray) -> np.ndarray:
-    """Df(w) on vec(M_d) for each entry of the stack w, as d^2 x d^2 matrices.
+def _jacobians(fmap: Callable, w: np.ndarray, w2: np.ndarray | None = None) -> np.ndarray:
+    """Delta f(w, w2) on vec(M_d) for each entry of the stacks w and w2, as
+    d^2 x d^2 matrices; w2 None gives the derivative Df(w).
 
-    Df(w)[E_ij] is the divided difference of f at (w, w): one fmap call at
-    the doubled level over the matrix units, with each entry's diagonal
-    held once (divided_difference).
+    Column ij is the divided difference of f at (w, w2) on the matrix unit
+    E_ij: one fmap call at the doubled level over the matrix units, with
+    each entry's diagonals held once (divided_difference), and a single
+    entry's diagonals passed as one matrix each.  The Newton steps and the
+    derivative certificates take every Jacobian from here.
     """
     wk = w[:, None]
-    top = divided_difference(fmap, wk, wk, matrix_units(w.shape[-1]))
+    w2k = wk if w2 is None else w2[:, None]
+    top = divided_difference(fmap, wk, w2k, matrix_units(w.shape[-1]))
     return np.swapaxes(vec(top), -1, -2)
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freeconv import (
     CPMap,
@@ -21,11 +22,11 @@ from freeconv import (
     solve_vq,
     vq_derivative,
 )
-from freeconv.algebra import opnorm
-from freeconv.subordination import DEFAULT_CONFIG
+from freeconv.algebra import linearize_on_basis, opnorm
+from freeconv.subordination import DEFAULT_CONFIG, _omega_derivative
 
 from _oracles import point_dvg_eigenvalue, point_gamma_omega
-from helpers import random_hermitian, random_model, random_problem, random_upper
+from helpers import random_hermitian, random_model, random_problem, random_psd, random_upper
 
 
 def point_plus_semicircle(t=1.0):
@@ -142,6 +143,93 @@ def test_delta_omega_spectrum_power_variant_matrix_base():
     assert cert.details["inverse_composition_error"] < 1e-8
 
 
+def _same_spectrum(x, y, rel):
+    """Every eigenvalue of x within rel * max|.| of a distinct one of y."""
+    x, y = list(np.asarray(x)), list(np.asarray(y))
+    scale = max(np.max(np.abs(x)), 1.0)
+    assert len(x) == len(y)
+    for e in x:
+        k = int(np.argmin(np.abs(np.array(y) - e)))
+        assert abs(y.pop(k) - e) <= rel * scale, (e, y)
+
+
+def _chain_rule_cases():
+    rng = np.random.default_rng(31)
+    cases = [(random_problem(rng, n=n), n) for n in (1, 2, 3)]
+    power = SubordinationProblem.power(random_model(rng, 2, 2), CPMap.scaled_identity(1.5, 2))
+    cases.append((power, 2))
+    return [(prob, random_upper(rng, n), random_upper(rng, n)) for prob, n in cases]
+
+
+def test_chain_rule_spectrum_matches_amplified_solves():
+    # Delta omega as (I - Delta h)^{-1} against Delta omega sampled on the
+    # matrix units through amplified level-2 solves
+    for prob, b1, b2 in _chain_rule_cases():
+        n = b1.shape[0]
+        cert = delta_omega_spectrum(prob, b1, b2)
+        lin = linearize_on_basis(lambda c: delta_omega(prob, b1, b2, c), n)
+        _same_spectrum(cert.eigenvalues, lin.eigenvalues(), 1e-9)
+
+
+def test_delta_omega_spectrum_makes_one_small_amplified_solve(monkeypatch):
+    import freeconv.diagnostics as diagnostics
+    import freeconv.subordination as subordination
+
+    solve = subordination.solve_omega_stack
+    level2 = []
+
+    def counting(problem, b_stack, *args, **kwargs):
+        if np.shape(b_stack)[-1] == 2 * problem.base_dim:
+            level2.append(len(b_stack))
+        return solve(problem, b_stack, *args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "solve_omega_stack", counting)
+    monkeypatch.setattr(subordination, "solve_omega_stack", counting)
+    for prob, b1, b2 in _chain_rule_cases():
+        del level2[:]
+        delta_omega_spectrum(prob, b1, b2)
+        assert len(level2) == 1 and level2[0] <= 2
+
+
+def test_delta_omega_spectrum_at_one_point_is_the_moebius_image_of_dh():
+    # at b1 = b2 = b, Delta omega = (I - Dh(omega(b)))^{-1}: its eigenvalues
+    # are 1 / (1 - mu), and Re > 1/2 exactly when |mu| < 1
+    rng = np.random.default_rng(32)
+    for _ in range(6):
+        prob = random_problem(rng)
+        n = prob.model.base_dim
+        b = random_upper(rng, n)
+        w = solve_omega(prob, b).require("solve failed")
+        mu = np.linalg.eigvals(_omega_derivative(prob, 1)(w[None], np.arange(1))[0])
+        cert = delta_omega_spectrum(prob, b, b)
+        _same_spectrum(cert.eigenvalues, 1.0 / (1.0 - mu), 1e-9)
+        assert (cert.min_real > 0.5) == (np.max(np.abs(mu)) < 1.0)
+
+
+@pytest.mark.parametrize("side", ["amplified", "chain rule"])
+def test_delta_omega_spectrum_flags_disagreeing_routes(monkeypatch, side):
+    # perturbing either route by 1e-6 moves the composition error past the
+    # 1e-8 bound that AC08 and the benchmark's check_delta_omega apply
+    import freeconv.diagnostics as diagnostics
+
+    if side == "amplified":
+        stack = diagnostics._delta_omega_stack
+
+        def perturbed(*args):
+            deltas, w1, w2 = stack(*args)
+            return deltas * (1.0 + 1e-6), w1, w2
+
+        monkeypatch.setattr(diagnostics, "_delta_omega_stack", perturbed)
+    else:
+        jacobians = diagnostics._jacobians
+        monkeypatch.setattr(diagnostics, "_jacobians",
+                            lambda *args: jacobians(*args) * (1.0 + 1e-6))
+    rng = np.random.default_rng(21)
+    prob = random_problem(rng, n=2)
+    cert = delta_omega_spectrum(prob, random_upper(rng, 2), random_upper(rng, 2))
+    assert cert.details["inverse_composition_error"] > 1e-8
+
+
 def test_dvg_spectrum_scalar_eigenvalue():
     prob = point_plus_semicircle()
     q = np.array([[0.1]])
@@ -226,6 +314,24 @@ def test_nc_axioms_generic_and_power():
     )
     assert out2["passed"]
     assert out2["max_deviation"] <= 1e-10
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2]),
+       t=st.floats(-0.5, 0.5))
+def test_similarity_axiom_on_random_problems(seed, n, t):
+    # T^{-1}(a + b)T = [[a, t(a - b)], [0, b]]: with ||Re|| <= 0.5,
+    # 1.5 <= Im <= 2.5 and |t| <= 0.5 the corner stays below the margin 1.5
+    rng = np.random.default_rng(seed)
+    prob = random_problem(rng, n=n)
+
+    def point():
+        return random_hermitian(rng, n, 0.5) + 1j * (1.5 * np.eye(n) + random_psd(rng, n))
+
+    T = np.array([[1.0, t], [0.0, 1.0]])
+    out = nc_function_axioms_check(prob, point(), point(), T=T)
+    for k in ("G", "h", "omega"):
+        assert out["deviations"][k]["similarity"] <= 1e-10
 
 
 def test_nc_axioms_input_validation():

@@ -198,7 +198,7 @@ def test_cold_solves_at_the_spectral_edge_match_closed_forms(damping):
 
 
 def test_fast_solves_take_only_picard_steps():
-    # at Im b = 0.5 every entry converges before its Newton budget (438
+    # at Im b = 0.5 every entry converges before its Newton budget (66
     # steps at d = 3), so the driver is plain Picard; a strong eta makes
     # them take 41-64 steps
     rng = np.random.default_rng(18)
