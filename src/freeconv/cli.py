@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,7 @@ from .serialize import (
     provenance_block,
     solver_config_to_json,
 )
-from .subordination import ConvergenceError, SolverConfig, solve_omega
+from .subordination import DEFAULT_CONFIG, ConvergenceError, SolverConfig, solve_omega
 from .transforms import (
     DENSITY_CONFIG,
     convolution_power_g,
@@ -67,18 +68,18 @@ def _load_matrix(path, what: str = "matrix") -> np.ndarray:
     return _load(path, matrix_from_json, what)
 
 
-def _load_problem(path):
-    return _load(path, problem_from_json, "problem")
+def _resolve_config(args, base: SolverConfig = DEFAULT_CONFIG) -> SolverConfig:
+    """base with the solver flags given on the command line in place of its
+    values; every other field of base is kept."""
+    flags = {name: getattr(args, name) for name in ("tol", "max_iter", "damping")}
+    return replace(base, **{name: v for name, v in flags.items() if v is not None})
 
 
-def _resolve_config(file_cfg: SolverConfig | None, args,
-                    base: SolverConfig | None = None) -> SolverConfig:
-    cfg = file_cfg if file_cfg is not None else (base or SolverConfig())
-    return SolverConfig(
-        tol=args.tol if args.tol is not None else cfg.tol,
-        max_iter=args.max_iter if args.max_iter is not None else cfg.max_iter,
-        damping=args.damping if args.damping is not None else cfg.damping,
-    )
+def _load_problem(args, base: SolverConfig = DEFAULT_CONFIG):
+    """The problem of --problem and its solver settings: the command's base,
+    then the keys of the file's solver block, then the solver flags."""
+    problem, file_cfg = _load(args.problem, lambda d: problem_from_json(d, base), "problem")
+    return problem, _resolve_config(args, base if file_cfg is None else file_cfg)
 
 
 def _floats_csv(text: str, flag: str) -> list[float]:
@@ -132,8 +133,7 @@ def _write(args, payload: dict, config: dict, **extra) -> None:
 
 
 def _cmd_solve(args) -> int:
-    problem, file_cfg = _load_problem(args.problem)
-    cfg = _resolve_config(file_cfg, args)
+    problem, cfg = _load_problem(args)
     b = _load_matrix(args.point, "point")
     rep = solve_omega(problem, b, cfg)
     _write(args, {
@@ -151,8 +151,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    problem, file_cfg = _load_problem(args.problem)
-    cfg = _resolve_config(file_cfg, args, base=DENSITY_CONFIG)
+    problem, cfg = _load_problem(args, DENSITY_CONFIG)
     if args.steps < 2:
         raise InputError("--steps must be at least 2")
     us = np.linspace(args.xmin, args.xmax, args.steps)
@@ -177,7 +176,7 @@ def _cmd_power(args) -> int:
     if alpha is None:
         alpha = _load(args.alpha, cp_map_from_json, "alpha")
     b = _load_matrix(args.point, "point")
-    cfg = _resolve_config(None, args)
+    cfg = _resolve_config(args)
     G = convolution_power_g(model, alpha, b, cfg)
     _write(args, {"G": matrix_to_json(G)},
            {"solver": solver_config_to_json(cfg), "alpha": args.alpha})
@@ -191,7 +190,7 @@ def _cmd_convolve(args) -> int:
         raise InputError("exactly one of --t and --beta is required")
     beta = args.t if args.t is not None else _load(args.beta, cp_map_from_json, "beta")
     b = _load_matrix(args.point, "point")
-    cfg = _resolve_config(None, args)
+    cfg = _resolve_config(args)
     G = semicircular_convolve_g(model, beta, b, cfg)
     _write(args, {"G": matrix_to_json(G)},
            {"solver": solver_config_to_json(cfg), "t": args.t})
@@ -202,7 +201,7 @@ def _cmd_convolve(args) -> int:
 def _cmd_rtransform(args) -> int:
     model = _load(args.model, model_from_json, "model")
     g = _load_matrix(args.arg, "argument")
-    cfg = _resolve_config(None, args)
+    cfg = _resolve_config(args)
     try:
         R = r_transform_eval(model, g, cfg)
     except ValueError as exc:
@@ -213,8 +212,7 @@ def _cmd_rtransform(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    problem, file_cfg = _load_problem(args.problem)
-    cfg = _resolve_config(file_cfg, args)
+    problem, cfg = _load_problem(args)
     b1 = _load_matrix(args.b1, "b1")
     b2 = _load_matrix(args.b2, "b2")
     if (args.q is None) != (args.u is None):
@@ -232,8 +230,7 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_jc_probe(args) -> int:
-    problem, file_cfg = _load_problem(args.problem)
-    cfg = _resolve_config(file_cfg, args)
+    problem, cfg = _load_problem(args)
     n = problem.model.base_dim
     alpha = _alpha_or_point(args.alpha, n)
     v = _load_matrix(args.v, "v") if args.v else np.eye(n)
@@ -254,8 +251,7 @@ def _cmd_jc_probe(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
-    problem, file_cfg = _load_problem(args.problem)
-    cfg = _resolve_config(file_cfg, args)
+    problem, cfg = _load_problem(args)
     a = _load_matrix(args.a, "a")
     b = _load_matrix(args.b, "b")
     T = _load_matrix(args.T, "T") if args.T else None

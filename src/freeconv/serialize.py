@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import platform
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -113,17 +114,22 @@ def model_from_json(d: dict) -> OperatorModel:
 
 
 def solver_config_to_json(cfg: SolverConfig) -> dict:
-    return {"tol": cfg.tol, "max_iter": cfg.max_iter, "damping": cfg.damping}
+    return {"tol": cfg.tol, "max_iter": cfg.max_iter, "damping": cfg.damping,
+            "anderson": cfg.anderson}
 
 
 def solver_config_from_json(d: dict | None, base: SolverConfig | None = None) -> SolverConfig:
+    """A solver block read over base: a key the block leaves out keeps the
+    value of base."""
     base = base if base is not None else SolverConfig()
     if not d:
         return base
-    return SolverConfig(
+    return replace(
+        base,
         tol=float(d.get("tol", base.tol)),
         max_iter=int(d.get("max_iter", base.max_iter)),
         damping=float(d.get("damping", base.damping)),
+        anderson=d.get("anderson", base.anderson),
     )
 
 
@@ -141,8 +147,10 @@ def problem_to_json(problem: SubordinationProblem,
     return out
 
 
-def problem_from_json(d: dict) -> tuple[SubordinationProblem, SolverConfig | None]:
-    """Parse a problem file; returns the problem and its solver block, if any."""
+def problem_from_json(d: dict, base: SolverConfig | None = None
+                      ) -> tuple[SubordinationProblem, SolverConfig | None]:
+    """Parse a problem file; returns the problem and its solver block, if
+    any, read over base (default SolverConfig())."""
     model = model_from_json(d["model"])
     variant = d.get("variant", "generic")
     if variant == "generic":
@@ -156,7 +164,7 @@ def problem_from_json(d: dict) -> tuple[SubordinationProblem, SolverConfig | Non
         problem = SubordinationProblem.power(model, alpha)
     else:
         raise ValueError(f"unknown problem variant {variant!r}")
-    solver = solver_config_from_json(d["solver"]) if "solver" in d else None
+    solver = solver_config_from_json(d["solver"], base) if "solver" in d else None
     return problem, solver
 
 

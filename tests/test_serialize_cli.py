@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,8 +40,9 @@ from freeconv.serialize import (
     problem_to_json,
     provenance_block,
     sha256_of,
+    solver_config_from_json,
 )
-from freeconv.transforms import semicircle_problem
+from freeconv.transforms import DENSITY_CONFIG, semicircle_problem
 
 from _oracles import arcsine2_g, bernoulli_r
 
@@ -137,6 +139,22 @@ def test_model_and_problem_roundtrip():
     assert back.alpha.scale == 2.0
     with pytest.raises(ValueError):
         problem_from_json({"model": model_to_json(uniform), "variant": "cubic"})
+
+
+def test_solver_config_roundtrip_carries_anderson():
+    prob = semicircle_problem(scalar_to_model(ScalarMeasure.point(0.0)),
+                              CPMap.scaled_identity(1.0, 1))
+    cfg = SolverConfig(tol=1e-10, max_iter=500, damping=0.5, anderson=True)
+    data = json.loads(json.dumps(problem_to_json(prob, solver=cfg)))
+    assert problem_from_json(data)[1] == cfg
+    # a block without the key reads as the base's value
+    del data["solver"]["anderson"]
+    assert problem_from_json(data)[1].anderson is False
+    assert problem_from_json(data, DENSITY_CONFIG)[1].anderson is True
+    assert solver_config_from_json({"tol": 1e-10}, DENSITY_CONFIG) == \
+        replace(DENSITY_CONFIG, tol=1e-10)
+    with pytest.raises(ValueError, match="anderson"):
+        solver_config_from_json({"anderson": "yes"})
 
 
 def test_ensemble_roundtrip():
@@ -715,3 +733,32 @@ def test_cli_mismatched_point_shapes_exit_1_naming_the_flag(command, tmp_path, c
     assert rc == 1 and not out.exists()
     err = capsys.readouterr().err
     assert "matching shapes" in err and all(flag in err for flag in flags)
+
+
+DENSITY_ARGS = ["--xmin", "-2.5", "--xmax", "2.5", "--steps", "21", "--eps", "1e-2,5e-3"]
+
+
+def test_cli_solver_flags_keep_the_other_config_fields(fixtures, tmp_path):
+    out = tmp_path / "rho.csv"
+    assert run_command(["density", "--problem", fixtures["gamma.json"], *DENSITY_ARGS,
+                        "--tol", "1e-10", "--out", str(out)]) == 0
+    assert _provenance_of(out)["config"]["solver"] == {
+        "tol": 1e-10, "max_iter": 20000, "damping": 0.5, "anderson": True}
+
+
+def test_cli_reads_a_partial_solver_block_over_the_command_base(fixtures, tmp_path):
+    data = load_json(fixtures["gamma.json"])
+    data["solver"] = {"tol": 1e-10}
+    problem = tmp_path / "p.json"
+    dump_json(data, problem)
+    out = tmp_path / "rho.csv"
+    assert run_command(["density", "--problem", str(problem), *DENSITY_ARGS,
+                        "--out", str(out)]) == 0
+    assert _provenance_of(out)["config"]["solver"] == {
+        "tol": 1e-10, "max_iter": 20000, "damping": 0.5, "anderson": True}
+    # solve reads the same block over the default configuration
+    out = tmp_path / "w.json"
+    assert run_command(["solve", "--problem", str(problem),
+                        "--point", fixtures["b_2i.json"], "--out", str(out)]) == 0
+    assert _provenance_of(out)["config"] == {
+        "tol": 1e-10, "max_iter": 20000, "damping": 0.0, "anderson": False}
