@@ -226,7 +226,8 @@ class OperatorModel:
             return self.spectral_sum(self._cauchy_weights, b, level)
         return self.expect(self.resolvent(b, level), level)
 
-    def cauchy_stack(self, b_stack: np.ndarray, level: int = 1, cfg=None):
+    def cauchy_stack(self, b_stack: np.ndarray, level: int = 1, cfg=None,
+                     anderson: bool = False):
         """(G values, converged mask) on a stack; a model needs no solve."""
         return self.cauchy(b_stack, level), np.ones(len(b_stack), dtype=bool)
 

@@ -114,8 +114,7 @@ def model_from_json(d: dict) -> OperatorModel:
 
 
 def solver_config_to_json(cfg: SolverConfig) -> dict:
-    return {"tol": cfg.tol, "max_iter": cfg.max_iter, "damping": cfg.damping,
-            "anderson": cfg.anderson}
+    return {"tol": cfg.tol, "max_iter": cfg.max_iter, "damping": cfg.damping}
 
 
 def solver_config_from_json(d: dict | None, base: SolverConfig | None = None) -> SolverConfig:
@@ -129,7 +128,6 @@ def solver_config_from_json(d: dict | None, base: SolverConfig | None = None) ->
         tol=float(d.get("tol", base.tol)),
         max_iter=int(d.get("max_iter", base.max_iter)),
         damping=float(d.get("damping", base.damping)),
-        anderson=d.get("anderson", base.anderson),
     )
 
 

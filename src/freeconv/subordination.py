@@ -25,11 +25,13 @@ would leave the half-plane or that follows one which did not lower the
 residual.  The v_q solve takes the same switch, with the positive definite
 cone (Re v > 0) in place of the half-plane.
 
-SolverConfig.anderson turns on type-II Anderson mixing of the damped
-Picard steps with the last three residuals, under the same half-plane
-safeguard.  Density sheets use it: on an M_3-valued sheet it takes about a
-quarter of the steps, so that the Newton switch is rarely reached.  Other
-solves keep plain damped Picard steps, and the Newton switch, by default.
+A caller that passes anderson=True gets type-II Anderson mixing of the
+damped Picard steps with the last three residuals, under the same
+half-plane safeguard.  Density sheets pass it: on an M_3-valued sheet it
+takes about a quarter of the steps, so that the Newton switch is rarely
+reached.  Other solves take plain damped Picard steps: on single points and
+small stacks the mixing's bookkeeping costs more than the steps it saves,
+and near a spectral edge its iterate is less accurate at the same residual.
 
 The auxiliary map g_q(u, v) = q + eta[((X-u) v^{-1} (X-u) + v)^{-1}] has, for
 each selfadjoint u and positive q, a unique positive fixed point v_q(u); the
@@ -82,17 +84,12 @@ class SolverConfig:
     a d x d point switch from Picard to Newton steps after 6 (9 + d^4/32)
     steps without converging (54 at d = 1 and 2, 66 at d = 3); max_iter
     counts both kinds of step, and damping applies to the Picard steps only.
-    anderson mixes each damped Picard step with the last ANDERSON_DEPTH
-    residuals (type-II Anderson acceleration, see _picard_stack); density
-    sheets turn it on, and every other default solve stays on plain damped
-    Picard steps.
     """
 
     tol: float = 1e-12
     max_iter: int = 20000
     damping: float = 0.0
     start: np.ndarray | None = None
-    anderson: bool = False
 
     def __post_init__(self):
         if not (self.tol > 0):
@@ -101,8 +98,6 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
         if not (0.0 <= self.damping < 1.0):
             raise ValueError("damping must lie in [0, 1)")
-        if not isinstance(self.anderson, bool):
-            raise ValueError("anderson must be a bool")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -208,10 +203,10 @@ class SubordinationProblem:
         return self.model.base_dim
 
     def cauchy_stack(self, b_stack: np.ndarray, level: int = 1,
-                     cfg: SolverConfig = DEFAULT_CONFIG):
+                     cfg: SolverConfig = DEFAULT_CONFIG, anderson: bool = False):
         """(G values, converged mask): G(b) = G_X(omega(b)) after a batched
         solve, which takes dense points (a BlockUpper stack is assembled)."""
-        w, _, _, ok = solve_omega_stack(self, dense(b_stack), cfg, level)
+        w, _, _, ok = solve_omega_stack(self, dense(b_stack), cfg, level, anderson)
         return dense(self.model.cauchy(split(w, level), level)), ok
 
     # -- the nonlinear part of the fixed-point map ------------------------
@@ -370,8 +365,8 @@ class _AndersonHistory:
 def _picard_stack(step: Callable[[np.ndarray, np.ndarray], np.ndarray],
                   w0: np.ndarray, cfg: SolverConfig,
                   derivative: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-                  admissible: Callable[[np.ndarray], np.ndarray] = _in_upper_halfplane
-                  ) -> SolveStack:
+                  admissible: Callable[[np.ndarray], np.ndarray] = _in_upper_halfplane,
+                  anderson: bool = False) -> SolveStack:
     """Solve w = step(w) entrywise on a batch.
 
     The result is one SolveStack record: per entry the final iterate, the
@@ -386,7 +381,7 @@ def _picard_stack(step: Callable[[np.ndarray, np.ndarray], np.ndarray],
     drops below tol (Frobenius test, spectral norm reported).
 
     Steps are damped Picard steps w <- (1 - damping) step(w) + damping w.
-    With cfg.anderson each step mixes in the last ANDERSON_DEPTH steps: with
+    With anderson each step mixes in the last ANDERSON_DEPTH steps: with
     f = step(w) - w and p the damped Picard point, the next iterate is
     p - dP gamma, where dF and dP hold the differences of the recent f and
     p and gamma minimizes ||f - dF gamma|| (normal equations with a small
@@ -416,7 +411,7 @@ def _picard_stack(step: Callable[[np.ndarray, np.ndarray], np.ndarray],
     active = np.arange(nbatch)
     wa = w.copy()                  # iterates of the active entries
     before = np.full(nbatch, np.inf)   # squared residual before the last Newton step
-    history = _AndersonHistory(nbatch, w[0].size) if cfg.anderson else None
+    history = _AndersonHistory(nbatch, w[0].size) if anderson else None
     for it in range(1, cfg.max_iter + 1):
         fw = step(wa, active)
         diff = fw - wa
@@ -495,14 +490,15 @@ def _omega_derivative(problem: SubordinationProblem, level: int):
 
 def solve_omega_stack(problem: SubordinationProblem, b_stack: np.ndarray,
                       cfg: SolverConfig = DEFAULT_CONFIG,
-                      level: int | None = None) -> SolveStack:
-    """Batched solve over a stack of upper half-plane points (shared level)."""
+                      level: int | None = None, anderson: bool = False) -> SolveStack:
+    """Batched solve over a stack of upper half-plane points (shared level);
+    anderson mixes the steps (see _picard_stack)."""
     b_stack = np.asarray(b_stack, dtype=complex)
     k = amplification_level(b_stack, problem.base_dim) if level is None else level
     step = _omega_step(problem, b_stack, k)
     w0 = b_stack if cfg.start is None else np.broadcast_to(
         np.asarray(cfg.start, dtype=complex), b_stack.shape).copy()
-    return _picard_stack(step, w0, cfg, _omega_derivative(problem, k))
+    return _picard_stack(step, w0, cfg, _omega_derivative(problem, k), anderson=anderson)
 
 
 def solve_omega(problem: SubordinationProblem, b,

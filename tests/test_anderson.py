@@ -1,6 +1,4 @@
-"""Anderson mixing in the shared fixed-point driver (SolverConfig.anderson)."""
-
-from dataclasses import replace
+"""Anderson mixing in the shared fixed-point driver (anderson=True)."""
 
 import numpy as np
 import pytest
@@ -20,7 +18,6 @@ from _oracles import semicircle_density
 from helpers import random_model, random_problem
 
 PICARD = SolverConfig(damping=0.5)
-ANDERSON = SolverConfig(damping=0.5, anderson=True)
 
 
 def _power_problem(rng, n):
@@ -43,7 +40,7 @@ def test_anderson_agrees_with_picard_in_fewer_steps(make, ratio):
     for eps in (2e-2, 1e-2):
         b = (us[:, None, None] + 1j * eps) * np.eye(prob.base_dim)
         picard = solve_omega_stack(prob, b, PICARD)
-        anderson = solve_omega_stack(prob, b, ANDERSON)
+        anderson = solve_omega_stack(prob, b, PICARD, anderson=True)
         assert picard.converged.all() and anderson.converged.all()
         assert np.max(np.abs(anderson.value - picard.value)) <= 1e-10
         assert anderson.iterations.sum() <= ratio * picard.iterations.sum()
@@ -54,14 +51,15 @@ def test_rejected_anderson_candidates_leave_plain_damped_picard():
     b = (np.linspace(-2.0, 2.0, 9)[:, None, None] + 2e-2j) * np.eye(2)
     step = _omega_step(prob, b, 1)
     runs = []
-    for cfg in (PICARD, ANDERSON):   # Picard with no derivative never calls admissible
+    for anderson in (False, True):   # Picard with no derivative never calls admissible
         iterates = []
 
         def recorded(w, idx):
             iterates.append(w.copy())
             return step(w, idx)
 
-        out = _picard_stack(recorded, b, cfg, admissible=lambda w: np.zeros(len(w), bool))
+        out = _picard_stack(recorded, b, PICARD, admissible=lambda w: np.zeros(len(w), bool),
+                            anderson=anderson)
         runs.append((out, iterates))
     (picard, seen), (anderson, seen_anderson) = runs
     assert picard.converged.all()
@@ -80,25 +78,33 @@ def test_anderson_restarts_when_the_residual_grows():
     prob = _power_problem(rng, 2)
     b = (0.15 + 1e-3j) * np.eye(2)[None]
     picard = solve_omega_stack(prob, b, PICARD)
-    anderson = solve_omega_stack(prob, b, ANDERSON)
+    anderson = solve_omega_stack(prob, b, PICARD, anderson=True)
     assert anderson.converged[0] and anderson.iterations[0] <= 60
     assert np.max(np.abs(anderson.value - picard.value)) <= 1e-10
 
 
-def test_default_density_sheet_uses_anderson_and_matches_picard():
-    assert DENSITY_CONFIG.anderson and DENSITY_CONFIG.damping == 0.5
+class _Recording:
+    """A source that records the anderson argument of each cauchy_stack call."""
+
+    def __init__(self, source):
+        self.source, self.base_dim, self.anderson = source, source.base_dim, []
+
+    def cauchy_stack(self, b_stack, level=1, cfg=None, anderson=False):
+        self.anderson.append(anderson)
+        return self.source.cauchy_stack(b_stack, level, cfg, anderson)
+
+
+def test_density_sheets_mix_and_match_picard():
     prob = semicircle_problem(scalar_to_model(ScalarMeasure.point(0.0)),
                               CPMap.scaled_identity(1.0, 1))
     us = np.linspace(-2.5, 2.5, 301)
-    grid = density_grid(prob, us, (2e-3, 1e-3))
-    picard = density_grid(prob, us, (2e-3, 1e-3), replace(DENSITY_CONFIG, anderson=False))
-    assert not grid.failures and not picard.failures
-    assert np.max(np.abs(grid.raw - picard.raw)) <= 1e-10
+    eps = (2e-3, 1e-3)
+    source = _Recording(prob)
+    grid = density_grid(source, us, eps)
+    assert source.anderson == [True, True] and not grid.failures
+    for l, e in enumerate(eps):
+        G, ok = prob.cauchy_stack((us[:, None, None] + 1j * e), 1, DENSITY_CONFIG)
+        assert ok.all()
+        assert np.max(np.abs(grid.raw[:, l] + G[:, 0, 0].imag / np.pi)) <= 1e-10
     interior = np.abs(np.abs(us) - 2.0) > 0.1
     assert np.max(np.abs(grid.density - semicircle_density(us))[interior]) <= 1e-3
-
-
-@pytest.mark.parametrize("value", [1, 0, "yes", None, np.bool_(True)])
-def test_anderson_must_be_a_bool(value):
-    with pytest.raises(ValueError, match="anderson"):
-        SolverConfig(anderson=value)

@@ -141,20 +141,19 @@ def test_model_and_problem_roundtrip():
         problem_from_json({"model": model_to_json(uniform), "variant": "cubic"})
 
 
-def test_solver_config_roundtrip_carries_anderson():
+def test_solver_block_roundtrip_reads_missing_keys_from_the_base():
     prob = semicircle_problem(scalar_to_model(ScalarMeasure.point(0.0)),
                               CPMap.scaled_identity(1.0, 1))
-    cfg = SolverConfig(tol=1e-10, max_iter=500, damping=0.5, anderson=True)
+    cfg = SolverConfig(tol=1e-10, max_iter=500, damping=0.25)
     data = json.loads(json.dumps(problem_to_json(prob, solver=cfg)))
     assert problem_from_json(data)[1] == cfg
-    # a block without the key reads as the base's value
-    del data["solver"]["anderson"]
-    assert problem_from_json(data)[1].anderson is False
-    assert problem_from_json(data, DENSITY_CONFIG)[1].anderson is True
+    assert problem_from_json(data, DENSITY_CONFIG)[1] == cfg
+    # a block without a key reads as the base's value
+    del data["solver"]["damping"]
+    assert problem_from_json(data)[1].damping == 0.0
+    assert problem_from_json(data, DENSITY_CONFIG)[1].damping == 0.5
     assert solver_config_from_json({"tol": 1e-10}, DENSITY_CONFIG) == \
         replace(DENSITY_CONFIG, tol=1e-10)
-    with pytest.raises(ValueError, match="anderson"):
-        solver_config_from_json({"anderson": "yes"})
 
 
 def test_ensemble_roundtrip():
@@ -743,7 +742,7 @@ def test_cli_solver_flags_keep_the_other_config_fields(fixtures, tmp_path):
     assert run_command(["density", "--problem", fixtures["gamma.json"], *DENSITY_ARGS,
                         "--tol", "1e-10", "--out", str(out)]) == 0
     assert _provenance_of(out)["config"]["solver"] == {
-        "tol": 1e-10, "max_iter": 20000, "damping": 0.5, "anderson": True}
+        "tol": 1e-10, "max_iter": 20000, "damping": 0.5}
 
 
 def test_cli_reads_a_partial_solver_block_over_the_command_base(fixtures, tmp_path):
@@ -755,10 +754,10 @@ def test_cli_reads_a_partial_solver_block_over_the_command_base(fixtures, tmp_pa
     assert run_command(["density", "--problem", str(problem), *DENSITY_ARGS,
                         "--out", str(out)]) == 0
     assert _provenance_of(out)["config"]["solver"] == {
-        "tol": 1e-10, "max_iter": 20000, "damping": 0.5, "anderson": True}
+        "tol": 1e-10, "max_iter": 20000, "damping": 0.5}
     # solve reads the same block over the default configuration
     out = tmp_path / "w.json"
     assert run_command(["solve", "--problem", str(problem),
                         "--point", fixtures["b_2i.json"], "--out", str(out)]) == 0
     assert _provenance_of(out)["config"] == {
-        "tol": 1e-10, "max_iter": 20000, "damping": 0.0, "anderson": False}
+        "tol": 1e-10, "max_iter": 20000, "damping": 0.0}
