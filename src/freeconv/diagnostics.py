@@ -45,9 +45,9 @@ from .subordination import (
     SolverConfig,
     SubordinationProblem,
     _jacobians,
+    _vq_arguments,
     g_q,
     solve_gq_stack,
-    solve_omega,
     solve_omega_stack,
     solve_vq,
 )
@@ -96,12 +96,9 @@ def _delta_omega_stack(problem: SubordinationProblem, b1: np.ndarray,
 
     w = solve_omega_stack(problem, tops, replace(cfg, start=None)).require(
         "amplified subordination solve did not converge")
-    # b1 and b2 are solved one at a time: a stack of two rounds CPMap.apply's
-    # natural-matrix product differently from a stack of one over M_n, n > 1,
-    # which would move the last bits of the certificate
-    ref_cfg = replace(cfg, tol=cfg.tol * 0.1, start=None)
-    w1, w2 = (solve_omega(problem, b, ref_cfg).require("subordination solve did not converge")
-              for b in (b1, b2))
+    w1, w2 = solve_omega_stack(problem, np.stack([b1, b2]),
+                               replace(cfg, tol=cfg.tol * 0.1, start=None)).require(
+        "subordination solve did not converge")
     scale = 1.0 + opnorm(w1) + opnorm(w2)
     mismatch = max(float(np.max(np.abs(w[:, :d, :d] - w1))),
                    float(np.max(np.abs(w[:, d:, d:] - w2))))
@@ -165,7 +162,8 @@ def delta_omega_spectrum(problem: SubordinationProblem, b1, b2,
     inverse_error = np.max(np.linalg.norm(residual, axis=-1)
                            / np.linalg.norm(vec(cs), axis=-1))
 
-    eigs = np.linalg.eigvals(np.linalg.inv(delta_H))
+    right_inverse_eigs = np.linalg.eigvals(delta_H)
+    eigs = 1.0 / right_inverse_eigs
     min_real = float(np.min(eigs.real))
     return SpectrumCertificate(
         eigenvalues=eigs,
@@ -176,7 +174,7 @@ def delta_omega_spectrum(problem: SubordinationProblem, b1, b2,
         details={
             "inverse_composition_error": float(inverse_error),
             "right_inverse_spectrum_max_dist_to_1": float(
-                np.max(np.abs(np.linalg.eigvals(delta_H) - 1.0))),
+                np.max(np.abs(right_inverse_eigs - 1.0))),
         },
     )
 
@@ -242,12 +240,15 @@ def vq_derivative(problem: SubordinationProblem, q, u, c,
     [[u, lam c], [0, u]]; central finite differences cross-check both.
     Disagreement between the first two beyond 1e-8 raises an error.
     """
-    q = require_hermitian(q, name="q")
-    u = require_hermitian(u, name="u")
+    q, u = _vq_arguments(problem, q, u)
     c = require_hermitian(c, name="c")
     _require_same_shape("c and u", c, u)
-    v = solve_vq(problem, q, u, cfg).require("v_q solve did not converge")
     d = u.shape[0]
+    # v_q at u and at u +- step c, for the central difference
+    step = 1e-5 * max(1.0, opnorm(u)) / max(opnorm(c), 1e-300)
+    v, vp, vm = solve_gq_stack(problem, np.broadcast_to(q, (3, d, d)),
+                               np.stack([u, u + step * c, u - step * c]), cfg).require(
+        "v_q solve did not converge")
 
     dv = _dv_map(problem, u, v)
     v2 = identity_kron(2, v)
@@ -260,10 +261,6 @@ def vq_derivative(problem: SubordinationProblem, q, u, c,
     w2 = solve_gq_stack(problem, q2[None], u2[None], replace(cfg, start=None)).require(
         "amplified v_q solve did not converge")
     amplified = w2[0, :d, d:] / lam
-
-    step = 1e-5 * max(1.0, opnorm(u)) / max(opnorm(c), 1e-300)
-    vp, vm = solve_gq_stack(problem, np.stack([q, q]), np.stack([u + step * c, u - step * c]),
-                            cfg).require("finite-difference v_q solve did not converge")
     fd = (vp - vm) / (2.0 * step)
 
     agreement = opnorm(implicit - amplified)
@@ -310,26 +307,25 @@ def nc_function_axioms_check(source, a, b, T=None,
     conj = Tinv @ D @ Tk
     require_halfplane(conj, "upper", POSITIVITY_TOL, name="conjugated point")
 
-    def measure(f1, f2) -> dict:
-        fa, fb = f1(a), f1(b)
-        fD = f2(D)
-        fconj = f2(conj)
+    def measure(f) -> dict:
+        """f(stack, level) at [a, b] and at [a + b, T^{-1}(a + b)T]; for an
+        upper triangular T both level-2 points have diagonal blocks a and b,
+        which split holds once for the stack."""
+        fa, fb = f(np.stack([a, b]), 1)
+        fD, fconj = f(np.stack([D, conj]), 2)
         return {
             "direct_sum": opnorm(fD - direct_sum(fa, fb)),
             "similarity": opnorm(fconj - Tinv @ fD @ Tk),
         }
 
     deviations = {
-        "G": measure(lambda x: model.cauchy(x, 1), lambda x: model.cauchy(x, 2)),
-        "h": measure(
-            lambda x: np.linalg.inv(model.cauchy(x, 1)) - x,
-            lambda x: np.linalg.inv(model.cauchy(x, 2)) - x),
+        "G": measure(model.cauchy),
+        "h": measure(lambda x, level: np.linalg.inv(model.cauchy(x, level)) - x),
     }
     if problem is not None:
-        def omega_at(x, level):
-            return solve_omega(problem, x, cfg).require("subordination solve did not converge")
-
-        deviations["omega"] = measure(lambda x: omega_at(x, 1), lambda x: omega_at(x, 2))
+        deviations["omega"] = measure(
+            lambda x, level: solve_omega_stack(problem, x, cfg, level).require(
+                "subordination solve did not converge"))
 
     worst = max(v for dev in deviations.values() for v in dev.values())
     return {

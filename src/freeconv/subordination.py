@@ -23,7 +23,10 @@ so a Newton iterate that stays there and passes the same residual test is
 that fixed point; a damped Picard step stands in for any Newton step that
 would leave the half-plane or that follows one which did not lower the
 residual.  The v_q solve takes the same switch, with the positive definite
-cone (Re v > 0) in place of the half-plane.
+cone (Re v > 0) in place of the half-plane.  A stack of block upper
+triangular points [[b1, c], [0, b2]] is tested on its diagonal blocks
+alone, since its fixed point keeps that form and its corner may be large
+against the imaginary parts of the diagonal.
 
 A caller that passes anderson=True gets type-II Anderson mixing of the
 damped Picard steps with the last three residuals, under the same
@@ -300,6 +303,28 @@ _in_upper_halfplane = _positive_definite(imag_part)
 _in_right_halfplane = _positive_definite(real_part)
 
 
+def _domain(admissible, level: int, *stacks: np.ndarray):
+    """The admissible test of a solve whose input stacks are given.
+
+    At an even level where every stack has an exactly zero lower-left half
+    block, the fixed point is block upper triangular [[w1, c], [0, w2]].
+    Such a point lies in the domain of an nc function on a half-plane when
+    w1 and w2 do, whatever the size of c (Kaliuzhnyi-Verbovetskyi and
+    Vinnikov, Foundations of Free Noncommutative Function Theory, 2014), and
+    the corner may be large against them, so the test is then taken on the
+    diagonal blocks alone, with a finite corner.
+    """
+    d = stacks[0].shape[-1] // 2
+    if level % 2 or any(s[..., d:, :d].any() for s in stacks):
+        return admissible
+
+    def on_blocks(w: np.ndarray) -> np.ndarray:
+        return (admissible(w[..., :d, :d]) & admissible(w[..., d:, d:])
+                & np.all(np.isfinite(w[..., :d, d:]), axis=(-2, -1)))
+
+    return on_blocks
+
+
 ANDERSON_DEPTH = 3   # fewest steps on an M_3 density sheet among depths 1-5
 
 
@@ -375,12 +400,15 @@ def _picard_stack(step: Callable[[np.ndarray, np.ndarray], np.ndarray],
     report(i) gives entry i as a SolveReport, and require(message) returns
     the values or raises ConvergenceError with the first unconverged entry.
 
-    step(w_active, idx) evaluates the fixed-point map on the active subset;
-    idx holds the original batch indices so that closures can slice their
-    constants.  Entries freeze at the first iterate whose equation residual
-    drops below tol (Frobenius test, spectral norm reported).
+    step(w_active, idx) evaluates the fixed-point map on the active subset
+    into a new array; idx holds the original batch indices so that closures
+    can slice their constants, and it is the same array object from step to
+    step until an entry freezes.  Entries freeze at the first iterate whose
+    equation residual drops below tol (Frobenius test, spectral norm
+    reported).
 
-    Steps are damped Picard steps w <- (1 - damping) step(w) + damping w.
+    Steps are damped Picard steps w <- (1 - damping) step(w) + damping w;
+    at damping 0 the array step returned is the next iterate.
     With anderson each step mixes in the last ANDERSON_DEPTH steps: with
     f = step(w) - w and p the damped Picard point, the next iterate is
     p - dP gamma, where dF and dP hold the differences of the recent f and
@@ -430,7 +458,7 @@ def _picard_stack(step: Callable[[np.ndarray, np.ndarray], np.ndarray],
                 break
             if history is not None:
                 history.keep(rest)
-        nxt = (1.0 - cfg.damping) * fw + cfg.damping * wa
+        nxt = fw if cfg.damping == 0.0 else (1.0 - cfg.damping) * fw + cfg.damping * wa
         if history is not None:
             nxt = history.mix(diff, res2, nxt, admissible)
         if it > budget:
@@ -453,11 +481,25 @@ def _picard_stack(step: Callable[[np.ndarray, np.ndarray], np.ndarray],
 # ---------------------------------------------------------------------------
 
 
+def _per_active_set(make: Callable[[np.ndarray], object]):
+    """make(idx), computed again only when idx changes: _picard_stack passes
+    the same index array to every step until an entry freezes."""
+    held = [None, None]
+
+    def constants(idx):
+        if held[0] is not idx:
+            held[:] = idx, make(idx)
+        return held[1]
+
+    return constants
+
+
 def _omega_step(problem: SubordinationProblem, b_stack: np.ndarray, level: int):
-    ak = problem.shift(level)
+    shifted = b_stack + problem.shift(level)
+    constants = _per_active_set(lambda idx: shifted[idx])
 
     def step(w, idx):
-        return b_stack[idx] + ak + dense(problem.h_map(split(w, level), level))
+        return constants(idx) + dense(problem.h_map(split(w, level), level))
 
     return step
 
@@ -498,7 +540,8 @@ def solve_omega_stack(problem: SubordinationProblem, b_stack: np.ndarray,
     step = _omega_step(problem, b_stack, k)
     w0 = b_stack if cfg.start is None else np.broadcast_to(
         np.asarray(cfg.start, dtype=complex), b_stack.shape).copy()
-    return _picard_stack(step, w0, cfg, _omega_derivative(problem, k), anderson=anderson)
+    return _picard_stack(step, w0, cfg, _omega_derivative(problem, k),
+                         _domain(_in_upper_halfplane, k, b_stack, w0), anderson)
 
 
 def solve_omega(problem: SubordinationProblem, b,
@@ -541,6 +584,19 @@ def _require_generic(problem: SubordinationProblem, op: str) -> None:
         raise ValueError(f"{op} requires a generic-variant problem with an explicit eta map")
 
 
+def _vq_arguments(problem: SubordinationProblem, q, u) -> tuple[np.ndarray, np.ndarray]:
+    """q and u as arrays, or ValueError unless the problem is generic, q is
+    strictly positive, u is selfadjoint and both have one shape."""
+    _require_generic(problem, "solve_vq")
+    q = require_hermitian(q, name="q")
+    if not is_strictly_positive(q, POSITIVITY_TOL):
+        raise ValueError("q must be strictly positive")
+    u = require_hermitian(u, name="u")
+    if q.shape != u.shape:
+        raise ValueError("q and u must have matching shapes")
+    return q, u
+
+
 def _gq_resolvent(model: OperatorModel, u, v, level: int):
     """(C, V, ((X - u) v^{-1} (X - u) + v)^{-1}) with C = u otimes 1_m -
     1_k otimes X and V = v^{-1} otimes 1_m, in the ambient algebra at level k.
@@ -562,9 +618,12 @@ def g_q(problem: SubordinationProblem, q, u, v, level: int = 1):
 
 def _gq_step(problem: SubordinationProblem, q_stack: np.ndarray,
              u_stack: np.ndarray, level: int):
+    constants = _per_active_set(
+        lambda idx: (split(q_stack[idx], level), split(u_stack[idx], level)))
+
     def step(v, idx):
-        u = split(u_stack[idx], level)
-        return dense(g_q(problem, q_stack[idx], u, split(v, level), level))
+        q, u = constants(idx)
+        return dense(g_q(problem, q, u, split(v, level), level))
 
     return step
 
@@ -599,9 +658,10 @@ def solve_gq_stack(problem: SubordinationProblem, q_stack: np.ndarray,
         v0 = np.broadcast_to(np.eye(d), u_stack.shape) + q_stack
     else:
         v0 = np.broadcast_to(np.asarray(cfg.start, dtype=complex), u_stack.shape)
+    v0 = np.array(v0, dtype=complex)
     step = _gq_step(problem, q_stack, u_stack, k)
-    return _picard_stack(step, np.array(v0, dtype=complex), cfg,
-                         _gq_derivative(problem, u_stack, k), _in_right_halfplane)
+    return _picard_stack(step, v0, cfg, _gq_derivative(problem, u_stack, k),
+                         _domain(_in_right_halfplane, k, q_stack, u_stack, v0))
 
 
 def solve_vq(problem: SubordinationProblem, q, u,
@@ -617,13 +677,7 @@ def solve_vq(problem: SubordinationProblem, q, u,
     in 56-58 steps (Picard alone: 2 303 steps at q = 1e-2, about 183 000 at
     q = 1e-4).
     """
-    _require_generic(problem, "solve_vq")
-    q = require_hermitian(q, name="q")
-    if not is_strictly_positive(q, POSITIVITY_TOL):
-        raise ValueError("q must be strictly positive")
-    u = require_hermitian(u, name="u")
-    if q.shape != u.shape:
-        raise ValueError("q and u must have matching shapes")
+    q, u = _vq_arguments(problem, q, u)
     return solve_gq_stack(problem, q[None], u[None], cfg).report(0)
 
 
