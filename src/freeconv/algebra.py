@@ -283,16 +283,21 @@ def _shared_block(block: np.ndarray) -> np.ndarray:
     return block
 
 
+def is_block_upper(a: np.ndarray, level: int) -> bool:
+    """Whether a dense (stacked) point is block upper triangular: an even
+    level and an exactly zero lower-left half block in every entry."""
+    d = a.shape[-1] // 2
+    return not (level % 2 or a.shape[-1] % 2 or a[..., d:, :d].any())
+
+
 def split(a, level: int):
-    """The BlockUpper form of a dense (stacked) point at an even level whose
-    lower-left half block is exactly zero; every other point is returned as
-    it is.  A diagonal block equal in every entry of the stack is kept once
-    (2-d), and equal diagonal blocks become one array."""
-    if level % 2 or isinstance(a, BlockUpper):
+    """The BlockUpper form of a dense (stacked) point that is_block_upper;
+    every other point is returned as it is.  A diagonal block equal in every
+    entry of the stack is kept once (2-d), and equal diagonal blocks become
+    one array."""
+    if isinstance(a, BlockUpper) or not is_block_upper(a, level):
         return a
     d = a.shape[-1] // 2
-    if a.shape[-1] % 2 or a[..., d:, :d].any():
-        return a
     top = _shared_block(a[..., :d, :d])
     bottom = _shared_block(a[..., d:, d:])
     if top.shape == bottom.shape and np.array_equal(top, bottom):

@@ -13,7 +13,6 @@ import hashlib
 import json
 import platform
 from dataclasses import replace
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -55,17 +54,13 @@ def matrix_from_json(d: dict) -> np.ndarray:
     entries = d["entries"]
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise ValueError("matrix entries do not match the declared shape")
-    pairs = list(chain.from_iterable(entries))
-    if not (set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) <= {2}):
-        raise ValueError("matrix entries must be [re, im] pairs of numbers")
-    flat = list(chain.from_iterable(pairs))
-    kinds = set(map(type, flat))
-    if type(None) in kinds:
-        i, j = divmod(flat.index(None) // 2, cols)
-        raise ValueError(f"matrix entry ({i}, {j}) is null, a non-finite value")
-    if not kinds <= {int, float}:
-        raise ValueError("matrix entries must be [re, im] pairs of numbers")
-    return np.array(flat, dtype=float).view(complex).reshape(rows, cols)
+    out = np.empty((rows, cols), dtype=complex)
+    for i, row in enumerate(entries):
+        for j, (re, im) in enumerate(row):
+            if re is None or im is None:
+                raise ValueError(f"matrix entry ({i}, {j}) is null, a non-finite value")
+            out[i, j] = complex(re, im)
+    return out
 
 
 # ---------------------------------------------------------------------------

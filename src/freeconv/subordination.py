@@ -63,6 +63,7 @@ from .algebra import (
     identity_kron,
     imag_part,
     inv,
+    is_block_upper,
     is_strictly_positive,
     matrix_units,
     opnorm,
@@ -314,9 +315,9 @@ def _domain(admissible, level: int, *stacks: np.ndarray):
     the corner may be large against them, so the test is then taken on the
     diagonal blocks alone, with a finite corner.
     """
-    d = stacks[0].shape[-1] // 2
-    if level % 2 or any(s[..., d:, :d].any() for s in stacks):
+    if not all(is_block_upper(s, level) for s in stacks):
         return admissible
+    d = stacks[0].shape[-1] // 2
 
     def on_blocks(w: np.ndarray) -> np.ndarray:
         return (admissible(w[..., :d, :d]) & admissible(w[..., d:, d:])
@@ -400,15 +401,12 @@ def _picard_stack(step: Callable[[np.ndarray, np.ndarray], np.ndarray],
     report(i) gives entry i as a SolveReport, and require(message) returns
     the values or raises ConvergenceError with the first unconverged entry.
 
-    step(w_active, idx) evaluates the fixed-point map on the active subset
-    into a new array; idx holds the original batch indices so that closures
-    can slice their constants, and it is the same array object from step to
-    step until an entry freezes.  Entries freeze at the first iterate whose
-    equation residual drops below tol (Frobenius test, spectral norm
-    reported).
+    step(w_active, idx) evaluates the fixed-point map on the active subset;
+    idx holds the original batch indices so that closures can slice their
+    constants.  Entries freeze at the first iterate whose equation residual
+    drops below tol (Frobenius test, spectral norm reported).
 
-    Steps are damped Picard steps w <- (1 - damping) step(w) + damping w;
-    at damping 0 the array step returned is the next iterate.
+    Steps are damped Picard steps w <- (1 - damping) step(w) + damping w.
     With anderson each step mixes in the last ANDERSON_DEPTH steps: with
     f = step(w) - w and p the damped Picard point, the next iterate is
     p - dP gamma, where dF and dP hold the differences of the recent f and
@@ -458,7 +456,7 @@ def _picard_stack(step: Callable[[np.ndarray, np.ndarray], np.ndarray],
                 break
             if history is not None:
                 history.keep(rest)
-        nxt = fw if cfg.damping == 0.0 else (1.0 - cfg.damping) * fw + cfg.damping * wa
+        nxt = (1.0 - cfg.damping) * fw + cfg.damping * wa
         if history is not None:
             nxt = history.mix(diff, res2, nxt, admissible)
         if it > budget:
@@ -481,25 +479,11 @@ def _picard_stack(step: Callable[[np.ndarray, np.ndarray], np.ndarray],
 # ---------------------------------------------------------------------------
 
 
-def _per_active_set(make: Callable[[np.ndarray], object]):
-    """make(idx), computed again only when idx changes: _picard_stack passes
-    the same index array to every step until an entry freezes."""
-    held = [None, None]
-
-    def constants(idx):
-        if held[0] is not idx:
-            held[:] = idx, make(idx)
-        return held[1]
-
-    return constants
-
-
 def _omega_step(problem: SubordinationProblem, b_stack: np.ndarray, level: int):
     shifted = b_stack + problem.shift(level)
-    constants = _per_active_set(lambda idx: shifted[idx])
 
     def step(w, idx):
-        return constants(idx) + dense(problem.h_map(split(w, level), level))
+        return shifted[idx] + dense(problem.h_map(split(w, level), level))
 
     return step
 
@@ -618,12 +602,9 @@ def g_q(problem: SubordinationProblem, q, u, v, level: int = 1):
 
 def _gq_step(problem: SubordinationProblem, q_stack: np.ndarray,
              u_stack: np.ndarray, level: int):
-    constants = _per_active_set(
-        lambda idx: (split(q_stack[idx], level), split(u_stack[idx], level)))
-
     def step(v, idx):
-        q, u = constants(idx)
-        return dense(g_q(problem, q, u, split(v, level), level))
+        u = split(u_stack[idx], level)
+        return dense(g_q(problem, q_stack[idx], u, split(v, level), level))
 
     return step
 
