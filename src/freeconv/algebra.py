@@ -54,7 +54,12 @@ def as_element(x, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def dag(x: np.ndarray) -> np.ndarray:
+def dag(x):
+    """x*; for a BlockUpper [[a, c], [0, b]], x* with its halves swapped,
+    [[b*, c*], [0, a*]], so h(dag(x)) = dag(h(x)) for nc h with h(x*) = h(x)*."""
+    if isinstance(x, BlockUpper):
+        top = dag(x.bottom)
+        return BlockUpper(top, dag(x.corner), top if x.bottom is x.top else dag(x.top))
     return np.conjugate(np.swapaxes(x, -1, -2))
 
 
@@ -272,6 +277,9 @@ class BlockUpper:
 
     def __neg__(self):
         return self.map_blocks(np.negative)
+
+    def __rmul__(self, scalar):
+        return self.map_blocks(lambda blk: scalar * blk)
 
 
 def _shared_block(block: np.ndarray) -> np.ndarray:

@@ -2,10 +2,10 @@
 
 Difference quotients of the subordination map come from the chain rule:
 omega(b) = b + a + h(omega(b)) gives Delta omega(b1, b2) =
-(I - Delta h(omega(b1), omega(b2)))^{-1}.  The maps with a closed form (the
-nonlinearity h, the v_q update g_q) are differentiated by
-algebra.divided_difference on the maps themselves, sampled on the matrix
-units by subordination._jacobians.  Fixed-point solves amplified to upper
+(I - Delta h(omega(b1), omega(b2)))^{-1}.  The nonlinearity h is
+differentiated by algebra.divided_difference, sampled on the matrix units
+by subordination._jacobians; the v_q update g_q by the Jacobian of h at
+u + iv (subordination._gq_jacobians).  Fixed-point solves amplified to upper
 triangular 2x2 block arguments are the independent route: the (1, 2) block
 of omega([[b1, c], [0, b2]]) is linear in c and equals Delta omega(b1, b2)[c],
 so each certificate compares an amplified solve with the derivative of its
@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import (
-    BlockUpper,
     POSITIVITY_TOL,
     as_element,
     c_scale,
@@ -44,9 +43,9 @@ from .subordination import (
     DEFAULT_CONFIG,
     SolverConfig,
     SubordinationProblem,
+    _gq_jacobians,
     _jacobians,
     _vq_arguments,
-    g_q,
     solve_gq_stack,
     solve_omega_stack,
     solve_vq,
@@ -184,16 +183,6 @@ def delta_omega_spectrum(problem: SubordinationProblem, b1, b2,
 # ---------------------------------------------------------------------------
 
 
-def _dv_map(problem: SubordinationProblem, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Partial derivative of g_q in the fixed-point variable, on vec(M_n).
-
-    q only shifts the diagonal blocks, so it drops out of the difference
-    quotient and is passed as 0.
-    """
-    u2 = BlockUpper(u, np.zeros_like(u), u)
-    return _jacobians(lambda x: g_q(problem, 0.0, u2, x, 2), v[None])[0]
-
-
 def dvg_spectrum(problem: SubordinationProblem, q, u,
                  cfg: SolverConfig = DEFAULT_CONFIG) -> SpectrumCertificate:
     """Spectrum of the linearized v-update at the fixed point v_q(u).
@@ -203,7 +192,7 @@ def dvg_spectrum(problem: SubordinationProblem, q, u,
     """
     v = solve_vq(problem, q, u, cfg).require("v_q solve did not converge")
     u = require_hermitian(u, name="u")
-    eigs = np.linalg.eigvals(_dv_map(problem, u, v))
+    eigs = np.linalg.eigvals(_gq_jacobians(problem, u[None], v[None], 1)[0][0])  # D_v g_q
     radius = float(np.max(np.abs(eigs)))
     resolvent_eigs = 1.0 / (1.0 - eigs)
     return SpectrumCertificate(
@@ -235,10 +224,11 @@ def vq_derivative(problem: SubordinationProblem, q, u, c,
                   cfg: SolverConfig = DEFAULT_CONFIG) -> VqDerivative:
     """Derivative of the v_q fixed point in a selfadjoint direction c.
 
-    The implicit formula solves (Id - dv) deriv = du(c) at the fixed point;
-    the amplified route reads the (1, 2) block of the level-2 solve at
-    [[u, lam c], [0, u]]; central finite differences cross-check both.
-    Disagreement between the first two beyond 1e-8 raises an error.
+    The implicit formula solves (Id - dv) deriv = du(c) at the fixed point,
+    both from one Jacobian of h; the amplified route reads the (1, 2) block
+    of the level-2 solve at [[u, lam c], [0, u]]; central finite differences
+    cross-check both.  Disagreement between the first two beyond 1e-8 raises
+    an error.
     """
     q, u = _vq_arguments(problem, q, u)
     c = require_hermitian(c, name="c")
@@ -250,10 +240,8 @@ def vq_derivative(problem: SubordinationProblem, q, u, c,
                                np.stack([u, u + step * c, u - step * c]), cfg).require(
         "v_q solve did not converge")
 
-    dv = _dv_map(problem, u, v)
-    v2 = identity_kron(2, v)
-    du_c = divided_difference(lambda x: g_q(problem, 0.0, x, v2, 2), u, u, c[None])[0]
-    implicit = unvec(np.linalg.solve(np.eye(d * d) - dv, vec(du_c)), d)
+    dv, du = (J[0] for J in _gq_jacobians(problem, u[None], v[None], 1))
+    implicit = unvec(np.linalg.solve(np.eye(d * d) - dv, du @ vec(c)), d)
 
     lam = 1.0 / (1.0 + opnorm(c))
     u2 = upper_block(u, lam * c, u)

@@ -207,17 +207,12 @@ class OperatorModel:
             self._amplified_X[level] = Xk
         return Xk
 
-    def centered(self, b, level: int = 1):
-        """b otimes 1_m - 1_k otimes X, the point every resolvent inverts;
-        block by block for a BlockUpper b."""
+    def resolvent(self, b, level: int = 1):
+        """(b - X otimes 1_k)^{-1}, batched; block by block for a BlockUpper b."""
         if isinstance(b, BlockUpper):
             Xh = self.amplified_X(level // 2)
-            return self.embed(b).map_blocks(lambda blk: blk - Xh, lambda c: c)
-        return self.embed(b) - self.amplified_X(level)
-
-    def resolvent(self, b, level: int = 1):
-        """(b - X otimes 1_k)^{-1}, batched over leading axes of b."""
-        return inv(self.centered(b, level), level)
+            return inv(self.embed(b).map_blocks(lambda blk: blk - Xh, lambda c: c), level)
+        return inv(self.embed(b) - self.amplified_X(level), level)
 
     def cauchy(self, b, level: int = 1):
         """(E otimes Id_k)[(b - X otimes 1_k)^{-1}]; a scalar base sums over

@@ -36,10 +36,11 @@ reached.  Other solves take plain damped Picard steps: on single points and
 small stacks the mixing's bookkeeping costs more than the steps it saves,
 and near a spectral edge its iterate is less accurate at the same residual.
 
-The auxiliary map g_q(u, v) = q + eta[((X-u) v^{-1} (X-u) + v)^{-1}] has, for
-each selfadjoint u and positive q, a unique positive fixed point v_q(u); the
-graph of v_q over u = Re omega(r + iq) recovers Im omega(r + iq).  Phi_q is
-the associated right inverse of r -> Re omega(r + iq) on the real axis.
+The auxiliary map g_q(u, v) = q + Im h(u + iv), with h the generic
+nonlinearity, has for each selfadjoint u and positive q a unique positive
+fixed point v_q(u); the graph of v_q over u = Re omega(r + iq) recovers
+Im omega(r + iq).  Phi_q(w) = w - a - Re h(w + i v_q(w)) is the associated
+right inverse of r -> Re omega(r + iq) on the real axis.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .algebra import (
     amplification_level,
     as_element,
     choi_minus_identity_min,
+    dag,
     dense,
     divided_difference,
     identity_kron,
@@ -313,13 +315,15 @@ def _domain(admissible, level: int, *stacks: np.ndarray):
     w1 and w2 do, whatever the size of c (Kaliuzhnyi-Verbovetskyi and
     Vinnikov, Foundations of Free Noncommutative Function Theory, 2014), and
     the corner may be large against them, so the test is then taken on the
-    diagonal blocks alone, with a finite corner.
+    diagonal blocks alone, with a finite corner.  It also zeroes the lower-left
+    block that a Newton step leaves at rounding size, so steps stay on blocks.
     """
     if not all(is_block_upper(s, level) for s in stacks):
         return admissible
     d = stacks[0].shape[-1] // 2
 
     def on_blocks(w: np.ndarray) -> np.ndarray:
+        w[..., d:, :d] = 0.0
         return (admissible(w[..., :d, :d]) & admissible(w[..., d:, d:])
                 & np.all(np.isfinite(w[..., :d, d:]), axis=(-2, -1)))
 
@@ -581,49 +585,54 @@ def _vq_arguments(problem: SubordinationProblem, q, u) -> tuple[np.ndarray, np.n
     return q, u
 
 
-def _gq_resolvent(model: OperatorModel, u, v, level: int):
-    """(C, V, ((X - u) v^{-1} (X - u) + v)^{-1}) with C = u otimes 1_m -
-    1_k otimes X and V = v^{-1} otimes 1_m, in the ambient algebra at level k.
-
-    v is inverted in M_k(B) and then embedded, since (v otimes 1_m)^{-1} =
-    v^{-1} otimes 1_m, and (X - u) V (X - u) = C V C.  Both inverses go
-    through algebra.inv, block by block for BlockUpper u and v.
-    """
-    C = model.centered(u, level)
-    V = model.embed(inv(v, level))
-    return C, V, inv(C @ V @ C + model.embed(v), level)
+def _selfadjoint(x) -> bool:
+    """x = dag(x) within HERMITIAN_TOL (for a BlockUpper: [[a, c], [0, a*]], c = c*)."""
+    pairs = ((x.top, x.bottom), (x.corner, x.corner)) if isinstance(x, BlockUpper) else ((x, x),)
+    return all(np.linalg.norm(a - dag(b)) <= HERMITIAN_TOL * (1.0 + np.linalg.norm(a))
+               for a, b in pairs)
 
 
 def g_q(problem: SubordinationProblem, q, u, v, level: int = 1):
     """g_q(u, v) = q + eta[((X - u) v^{-1} (X - u) + v)^{-1}] at level k,
-    batched over leading axes of u and v."""
-    return q + problem.eta.apply(_gq_resolvent(problem.model, u, v, level)[2], level)
+    batched over leading axes of u and v.
+
+    (X - u + iv) v^{-1} (X - u - iv) = (X - u) v^{-1} (X - u) + v, so g_q =
+    q + (h(u + iv) - h(u - iv))/2i, and h(u - iv) = dag(h(u + iv)) when u and
+    v equal their dag, as in v_q solves and their amplifications.
+    """
+    h_plus = problem.h_map(u + 1j * v, level)
+    h_minus = dag(h_plus) if _selfadjoint(u) and _selfadjoint(v) else \
+        problem.h_map(u - 1j * v, level)
+    return q + 0.5j * (h_minus - h_plus)
 
 
 def _gq_step(problem: SubordinationProblem, q_stack: np.ndarray,
              u_stack: np.ndarray, level: int):
     def step(v, idx):
-        u = split(u_stack[idx], level)
-        return dense(g_q(problem, q_stack[idx], u, split(v, level), level))
+        q, u = split(q_stack[idx], level), split(u_stack[idx], level)
+        return dense(g_q(problem, q, u, split(v, level), level))
 
     return step
 
 
-def _gq_derivative(problem: SubordinationProblem, u_stack: np.ndarray, level: int):
-    """Jacobian of v -> g_q(u, v) on vec(M_d), d = n k at level k.
+def _gq_jacobians(problem: SubordinationProblem, u: np.ndarray, v: np.ndarray,
+                  level: int) -> tuple[np.ndarray, np.ndarray]:
+    """(D_v g_q, D_u g_q) on vec(M_d), d = n k at level k, at each entry of
+    the stacks u and v; q drops out.
 
-    One batched g_q call at level 2k, with u there as [[u, 0], [0, u]], the
-    call diagnostics._dv_map makes for one point.  q only shifts the
-    diagonal blocks, so it drops out and is passed as 0.
+    With J+- = Dh(u +- iv), D_v g_q = (J+ + J-)/2 and D_u g_q =
+    (J+ - J-)/2i.  For selfadjoint u and v, J- = P conj(J+) P with P the
+    transpose on vec, so one Jacobian serves; otherwise one _jacobians call
+    takes both points.
     """
-    zero = np.zeros(u_stack.shape[-2:], dtype=complex)
-
-    def derivative(v, idx):
-        u = u_stack[idx][:, None]
-        u2 = BlockUpper(u, zero, u)
-        return _jacobians(lambda x: g_q(problem, 0.0, u2, x, 2 * level), v)
-
-    return derivative
+    if _selfadjoint(u) and _selfadjoint(v):
+        jp = _jacobians(lambda x: problem.h_map(x, 2 * level), u + 1j * v)
+        p = np.arange(jp.shape[-1]).reshape(u.shape[-2:]).T.ravel()   # P on vec
+        jm = jp[..., p[:, None], p].conj()
+    else:
+        pair = np.concatenate([u + 1j * v, u - 1j * v])
+        jp, jm = np.split(_jacobians(lambda x: problem.h_map(x, 2 * level), pair), 2)
+    return 0.5 * (jp + jm), -0.5j * (jp - jm)
 
 
 def solve_gq_stack(problem: SubordinationProblem, q_stack: np.ndarray,
@@ -640,8 +649,8 @@ def solve_gq_stack(problem: SubordinationProblem, q_stack: np.ndarray,
     else:
         v0 = np.broadcast_to(np.asarray(cfg.start, dtype=complex), u_stack.shape)
     v0 = np.array(v0, dtype=complex)
-    step = _gq_step(problem, q_stack, u_stack, k)
-    return _picard_stack(step, v0, cfg, _gq_derivative(problem, u_stack, k),
+    return _picard_stack(_gq_step(problem, q_stack, u_stack, k), v0, cfg,
+                         lambda v, idx: _gq_jacobians(problem, u_stack[idx], v, k)[0],
                          _domain(_in_right_halfplane, k, q_stack, u_stack, v0))
 
 
@@ -666,11 +675,10 @@ def phi_q(problem: SubordinationProblem, q, w,
           cfg: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Right inverse of the boundary curve r -> Re omega(r + iq).
 
-    Phi_q(w) = w - a - eta[v^{-1} (X - w) ((X - w) v^{-1} (X - w) + v)^{-1}]
-    with v = v_q(w); applied to w = Re omega(u + iq) it returns u.
+    Phi_q(w) = w - a - Re h(w + iv) with v = v_q(w) and h the problem's
+    nonlinearity; applied to w = Re omega(u + iq) it returns u.
     """
     _require_generic(problem, "phi_q")
     w = require_hermitian(w, name="w")
     v = solve_vq(problem, q, w, cfg).require("v_q solve did not converge inside phi_q")
-    C, V, inner = _gq_resolvent(problem.model, w, v, 1)
-    return w - problem.a + problem.eta.apply(V @ C @ inner)
+    return w - problem.a - real_part(problem.h_map(w + 1j * v))

@@ -148,3 +148,28 @@ def test_scalar_power_solve_inverts_by_division(monkeypatch):
     assert solved.converged.all()
     assert solved.iterations.max() <= subordination._newton_budget(1)
     assert calls == []
+
+
+@pytest.mark.parametrize("solve", ["omega", "v_q"])
+def test_newton_steps_of_an_amplified_solve_keep_the_block_form(solve, monkeypatch):
+    # point mass at 0 plus the semicircle, with corners large against the
+    # diagonal: both solves take Newton steps, whose dense d^2 x d^2 systems
+    # leave about 1e-31 in the lower-left block unless it is set to zero
+    prob = semicircle_problem(scalar_to_model(ScalarMeasure.point(0.0)),
+                              CPMap.scaled_identity(1.0, 1))
+    if solve == "omega":
+        z = np.array([[2.0 + 1e-6j]])
+        points = np.stack([upper_block(z, np.array([[c]]), z) for c in (1.0, -1.0, 1j)])
+        calls = _record(monkeypatch, SubordinationProblem, "h_map")
+        solved = solve_omega_stack(prob, points, level=2)
+        args = [x for _, x, level in calls if level == 2]
+    else:
+        q, u = np.array([[1e-2]]), np.array([[0.1]])
+        points = np.stack([upper_block(u, np.array([[c]]), u) for c in (100.0, -100.0)])
+        calls = _record(monkeypatch, subordination, "g_q")
+        solved = solve_gq_stack(prob, np.stack([identity_kron(2, q)] * 2), points, level=2)
+        args = [x for call in calls for x in call[2:4]]
+    assert solved.converged.all()
+    assert solved.iterations.max() > subordination._newton_budget(2)
+    assert args and all(isinstance(x, BlockUpper) for x in args)
+    assert np.all(solved.value[:, 1, 0] == 0)
