@@ -332,8 +332,7 @@ def inv(a, level: int):
     k/2, are inverted the same way, a block shared by the stack or by both
     diagonals only once.  A BlockUpper gives a BlockUpper, a dense point a
     dense point whose lower-left block is exactly zero again.  A 1 x 1
-    point given as an array is inverted by division.  The diagonal blocks
-    of a level-2 point, 1 x 1 ones included, and any other point go to
+    point or block is inverted by division, and any other point goes to
     np.linalg.inv.  Both raise LinAlgError on an exactly singular point.
     """
     x = split(a, level)
@@ -343,11 +342,8 @@ def inv(a, level: int):
         if not a.all():
             raise np.linalg.LinAlgError("Singular matrix")
         return 1.0 / a
-    # level-1 blocks stay on LAPACK: tests/test_block_rule.py counts the 1 x 1
-    # inverses of a power-variant derivative
-    half = (lambda blk: inv(blk, level // 2)) if level > 2 else np.linalg.inv
-    top = half(x.top)
-    bottom = top if x.bottom is x.top else half(x.bottom)
+    top = inv(x.top, level // 2)
+    bottom = top if x.bottom is x.top else inv(x.bottom, level // 2)
     out = BlockUpper(top, -(top @ x.corner) @ bottom, bottom)
     return out if x is a else out.dense()
 
@@ -382,12 +378,6 @@ def divided_difference(fmap: Callable, w1: np.ndarray, w2: np.ndarray,
     out = fmap(BlockUpper(top, corner, bottom))
     corner = out.corner if isinstance(out, BlockUpper) else out[..., :d, d:]
     return corner.reshape(shape)
-
-
-def c_scale(c: np.ndarray, margin1: float, margin2: float) -> np.ndarray:
-    """Scale lam that keeps [[b1, lam c], [0, b2]] in the half-plane of b1 and b2,
-    given their half-plane margins; batched over leading axes of c."""
-    return min(1.0, margin1 * margin2) / (2.0 * opnorm_stack(c) + 1.0)
 
 
 # ---------------------------------------------------------------------------

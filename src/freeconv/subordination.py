@@ -436,6 +436,8 @@ def _picard_stack(step: Callable[[np.ndarray, np.ndarray], np.ndarray],
     iterations = np.full(nbatch, cfg.max_iter, dtype=np.int64)
     residual = np.full(nbatch, np.inf)
     converged = np.zeros(nbatch, dtype=bool)
+    if nbatch == 0:
+        return SolveStack(w, iterations, residual, converged)
     budget = cfg.max_iter if derivative is None else _newton_budget(w.shape[-1])
     tol2 = cfg.tol * cfg.tol
     active = np.arange(nbatch)

@@ -72,7 +72,7 @@ def test_delta_omega_linear_in_direction():
     lhs = delta_omega(prob, b1, b2, c1 + zeta * c2)
     rhs = delta_omega(prob, b1, b2, c1) + zeta * delta_omega(prob, b1, b2, c2)
     assert np.max(np.abs(lhs - rhs)) < 1e-8
-    # homogeneity exercises a second rescaling of the off-diagonal block
+    # 2 c has the unit direction of c: only the norm multiplying the corner changes
     double = delta_omega(prob, b1, b2, 2.0 * c1)
     assert np.max(np.abs(double - 2.0 * delta_omega(prob, b1, b2, c1))) < 1e-8
 
@@ -85,27 +85,6 @@ def test_delta_omega_rejects_points_outside_domain():
         delta_omega(prob, bad, good, np.array([[1.0]]))
     with pytest.raises(ValueError):
         delta_omega(prob, good, bad, np.array([[1.0]]))
-
-
-def test_amplified_points_are_checked_as_one_stack(monkeypatch):
-    # a direction scaled past the half-plane is named by its index in the stack
-    import freeconv.diagnostics as diagnostics
-
-    prob = point_plus_semicircle()
-    monkeypatch.setattr(diagnostics, "c_scale", lambda cs, m1, m2: np.array([1e-3, 1e3]))
-    with pytest.raises(ValueError, match="amplified point 1 is not in the upper half-plane"):
-        delta_omega(prob, np.array([[1j]]), np.array([[2j]]), np.array([[1.0]]))
-    # margin 0 is excluded, any positive margin accepted; one eigvalsh call
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
-    points = np.zeros((3, 2, 2), dtype=complex)
-    points[:] = np.diag([1e-300j, 1j])
-    diagnostics._require_upper_stack(points, "p")
-    points[2] = np.diag([0.0, 1j])
-    with pytest.raises(ValueError, match="p 2 is not"):
-        diagnostics._require_upper_stack(points, "p")
-    assert calls == [(3, 2, 2), (3, 2, 2)]
 
 
 def test_delta_omega_spectrum_certificate():

@@ -17,6 +17,7 @@ from freeconv import (
     CPMap,
     ScalarMeasure,
     SolverConfig,
+    delta_omega,
     delta_omega_spectrum,
     nc_function_axioms_check,
     scalar_to_model,
@@ -68,6 +69,11 @@ def test_each_certificate_makes_two_stacked_solves(monkeypatch):
         del omega[:]
         delta_omega_spectrum(prob, b1, b2)
         # the amplified solve in one direction, then omega(b1) and omega(b2)
+        assert [np.shape(args[1]) for args in omega] == [(1, 2 * n, 2 * n), (2, n, n)]
+        assert not vq
+        del omega[:]
+        delta_omega(prob, b1, b2, c)
+        # the same two solves, the amplified one at the unit direction only
         assert [np.shape(args[1]) for args in omega] == [(1, 2 * n, 2 * n), (2, n, n)]
         assert not vq
         del omega[:]

@@ -28,7 +28,7 @@ from freeconv.algebra import (
     upper_block,
     vec,
 )
-from freeconv.subordination import _omega_derivative, _picard_stack, g_q
+from freeconv.subordination import _omega_derivative, _picard_stack, g_q, solve_gq_stack
 from freeconv.transforms import ConvolutionPower, semicircle_problem
 
 from _oracles import arcsine2_g, point_gamma_omega, point_vq_at_zero, semicircle_g
@@ -154,6 +154,20 @@ def test_solve_stack_record_reports_and_requires_per_entry():
     single = solve_omega(prob, bs[0])
     assert single.require("unused") is single.value
     assert np.array_equal(single.value, w[0]) and single.iterations == 17
+
+
+def test_empty_stacks_return_at_once():
+    prob = point_gamma_problem()
+    empty = np.zeros((0, 1, 1))
+    for out in (solve_omega_stack(prob, empty), solve_gq_stack(prob, empty, empty)):
+        assert out.value.shape == (0, 1, 1) and out.iterations.shape == (0,)
+        assert out.residual.shape == out.converged.shape == (0,)
+        assert out.require("unused") is out.value
+
+    def step(w, idx):
+        raise AssertionError("an empty stack takes no step")
+
+    assert _picard_stack(step, empty, SolverConfig(), anderson=True).value.shape == (0, 1, 1)
 
 
 def test_non_convergence_is_reported_not_raised():
