@@ -47,7 +47,6 @@ from .subordination import (
     phi_q,
     residual_h,
     solve_omega,
-    solve_omega_alpha,
     solve_omega_stack,
     solve_vq,
 )

@@ -390,7 +390,9 @@ def run_command(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ConvergenceError as exc:
-        print(f"did not converge: {exc}", file=sys.stderr)
+        report = exc.report
+        print(f"did not converge: {exc} ({report.iterations} steps, "
+              f"residual {report.residual:.3e})", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"numerical check failed: {exc}", file=sys.stderr)

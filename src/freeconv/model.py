@@ -30,6 +30,7 @@ from .algebra import (
     opnorm,
     require_hermitian,
 )
+from .subordination import SolveStack
 
 
 @dataclass(frozen=True)
@@ -222,9 +223,12 @@ class OperatorModel:
         return self.expect(self.resolvent(b, level), level)
 
     def cauchy_stack(self, b_stack: np.ndarray, level: int = 1, cfg=None,
-                     anderson: bool = False):
-        """(G values, converged mask) on a stack; a model needs no solve."""
-        return self.cauchy(b_stack, level), np.ones(len(b_stack), dtype=bool)
+                     anderson: bool = False) -> SolveStack:
+        """G on a stack, as the record of a solve of zero steps: a model
+        needs no solve."""
+        m = len(b_stack)
+        return SolveStack(self.cauchy(b_stack, level), np.zeros(m, dtype=np.int64),
+                          np.zeros(m), np.ones(m, dtype=bool))
 
 
 def cauchy_transform(model: OperatorModel, b, level: int | None = None) -> np.ndarray:

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -77,7 +77,9 @@ from .algebra import (
     unvec,
     vec,
 )
-from .model import OperatorModel
+
+if TYPE_CHECKING:
+    from .model import OperatorModel
 
 
 @dataclass(frozen=True)
@@ -209,11 +211,11 @@ class SubordinationProblem:
         return self.model.base_dim
 
     def cauchy_stack(self, b_stack: np.ndarray, level: int = 1,
-                     cfg: SolverConfig = DEFAULT_CONFIG, anderson: bool = False):
-        """(G values, converged mask): G(b) = G_X(omega(b)) after a batched
-        solve, which takes dense points (a BlockUpper stack is assembled)."""
-        w, _, _, ok = solve_omega_stack(self, dense(b_stack), cfg, level, anderson)
-        return dense(self.model.cauchy(split(w, level), level)), ok
+                     cfg: SolverConfig = DEFAULT_CONFIG, anderson: bool = False) -> SolveStack:
+        """The record of a batched solve, with G(b) = G_X(omega(b)) as its
+        value; the solve takes dense points (a BlockUpper stack is assembled)."""
+        solve = solve_omega_stack(self, dense(b_stack), cfg, level, anderson)
+        return solve._replace(value=dense(self.model.cauchy(split(solve.value, level), level)))
 
     # -- the nonlinear part of the fixed-point map ------------------------
 
@@ -555,13 +557,6 @@ def residual_h(problem: SubordinationProblem, w, b) -> float:
     k = amplification_level(w, problem.base_dim)
     Hw = w - problem.shift(k) - problem.h_map(w, k)
     return opnorm(Hw - b)
-
-
-def solve_omega_alpha(model: OperatorModel, alpha: CPMap, b,
-                      cfg: SolverConfig = DEFAULT_CONFIG) -> SolveReport:
-    """Subordination for convolution powers: w* = b + (alpha - Id)[h(w*)]."""
-    problem = SubordinationProblem.power(model, alpha)
-    return solve_omega(problem, b, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -5,18 +5,19 @@ powers, numerical R-transforms, the scalar boundary curve of a measure, and
 spectral-density recovery on grids near the real axis.
 
 A Cauchy source is anything with ``base_dim`` and
-``cauchy_stack(b_stack, level, cfg, anderson=False) -> (G, converged mask)``:
-an OperatorModel, a SubordinationProblem (G(b) = G_X(omega(b))), and the
-SemicircularConvolution and ConvolutionPower wrappers, which delegate to
-their subordination problem.  anderson asks a source that solves a fixed
-point to mix its steps (see subordination._picard_stack); density sheets
-ask for it, and a source that solves nothing ignores it.
+``cauchy_stack(b_stack, level, cfg, anderson=False) -> SolveStack``, the
+record of the source's solve with G as its value: an OperatorModel (a record
+of zero steps, since a model solves nothing), a SubordinationProblem
+(G(b) = G_X(omega(b))), and the SemicircularConvolution and ConvolutionPower
+wrappers, which delegate to their subordination problem.  anderson asks a
+source that solves a fixed point to mix its steps (see
+subordination._picard_stack); density sheets ask for it, and a source that
+solves nothing ignores it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
@@ -31,8 +32,7 @@ from .algebra import (
 from .model import OperatorModel, ScalarMeasure
 from .subordination import (
     DEFAULT_CONFIG,
-    ConvergenceError,
-    SolveReport,
+    SolveStack,
     SolverConfig,
     SubordinationProblem,
     _picard_stack,
@@ -92,7 +92,7 @@ class SemicircularConvolution:
         return self._problem
 
     def cauchy_stack(self, b_stack: np.ndarray, level: int = 1,
-                     cfg: SolverConfig = DEFAULT_CONFIG, anderson: bool = False):
+                     cfg: SolverConfig = DEFAULT_CONFIG, anderson: bool = False) -> SolveStack:
         return self._problem.cauchy_stack(b_stack, level, cfg, anderson)
 
 
@@ -120,15 +120,8 @@ class ConvolutionPower:
         return self._problem
 
     def cauchy_stack(self, b_stack: np.ndarray, level: int = 1,
-                     cfg: SolverConfig = DEFAULT_CONFIG, anderson: bool = False):
+                     cfg: SolverConfig = DEFAULT_CONFIG, anderson: bool = False) -> SolveStack:
         return self._problem.cauchy_stack(b_stack, level, cfg, anderson)
-
-
-def _require_converged(G: np.ndarray, ok: np.ndarray, cfg: SolverConfig) -> None:
-    if not np.all(ok):
-        report = SolveReport(value=G[~ok][0], iterations=cfg.max_iter,
-                             residual=float("nan"), converged=False)
-        raise ConvergenceError("Cauchy transform evaluation did not converge", report)
 
 
 def _require_source(source) -> None:
@@ -140,9 +133,8 @@ def cauchy_eval(source, b, cfg: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Cauchy transform of any source at one point; the level is read from b."""
     b = as_element(b, "b")
     _require_source(source)
-    G, ok = source.cauchy_stack(b[None], amplification_level(b, source.base_dim), cfg)
-    _require_converged(G, ok, cfg)
-    return G[0]
+    solve = source.cauchy_stack(b[None], amplification_level(b, source.base_dim), cfg)
+    return solve.require("Cauchy transform evaluation did not converge")[0]
 
 
 def semicircular_convolve_g(source, beta, b,
@@ -193,8 +185,8 @@ def r_transform_eval(source, g, cfg: SolverConfig = DEFAULT_CONFIG) -> np.ndarra
     inner_cfg = replace(cfg, start=None)
 
     def step(w, idx):
-        G, ok = source.cauchy_stack(w, level, inner_cfg)
-        _require_converged(G, ok, inner_cfg)
+        G = source.cauchy_stack(w, level, inner_cfg).require(
+            "Cauchy transform evaluation did not converge")
         return w + ginv - np.linalg.inv(G)
 
     solve = _picard_stack(step, ginv[None], SolverConfig(tol=cfg.tol, max_iter=60))
@@ -292,35 +284,13 @@ class DensityGrid:
 DENSITY_CONFIG = SolverConfig(damping=0.5)
 
 
-@dataclass(frozen=True)
-class _Pointwise:
-    """A bare callable z -> G(z) as a source at scalar points z; an exception
-    at a point marks it as not converged."""
-
-    g: Callable[[complex], np.ndarray]
-    base_dim: int = 1
-
-    def cauchy_stack(self, b_stack: np.ndarray, level: int = 1, cfg=None,
-                     anderson: bool = False):
-        vals, ok = [], []
-        for b in b_stack:
-            try:
-                vals.append(as_element(self.g(b[0, 0]), "G(z)"))
-                ok.append(True)
-            except Exception:
-                vals.append(None)
-                ok.append(False)
-        n = next((v.shape[0] for v in vals if v is not None), 1)
-        out = np.stack([v if v is not None else np.full((n, n), np.nan) for v in vals])
-        return out, np.array(ok)
-
-
 def density_grid(source, abscissae, epsilons,
                  cfg: SolverConfig | None = None) -> DensityGrid:
     """Evaluate -(1/pi) Im tau(G(u + i eps)) on a grid and extrapolate to eps = 0.
 
-    source may be an OperatorModel, a convolution wrapper, a
-    SubordinationProblem, or a callable z -> G(z) returning a matrix on B.
+    source may be any Cauchy source: an OperatorModel, a convolution
+    wrapper or a SubordinationProblem.  Entries its record flags as not
+    converged are NaN and listed in failures.
     The default solver configuration, DENSITY_CONFIG, uses damping 0.5,
     which keeps the fixed-point iteration contractive arbitrarily close to
     the real axis.  Each sheet is one batched solve per eps with Anderson
@@ -341,14 +311,13 @@ def density_grid(source, abscissae, epsilons,
     if len(set(eps)) < len(eps):
         raise ValueError("epsilons must be distinct")
 
-    if callable(source):
-        source = _Pointwise(source)
     _require_source(source)
     eye = np.eye(source.base_dim, dtype=complex)
     raw = np.empty((us.size, len(eps)))
     failures = []
     for l, e in enumerate(eps):
-        G, ok = source.cauchy_stack((us[:, None, None] + 1j * e) * eye, 1, cfg, anderson=True)
+        G, _, _, ok = source.cauchy_stack((us[:, None, None] + 1j * e) * eye, 1, cfg,
+                                          anderson=True)
         tau = np.trace(G, axis1=-2, axis2=-1) / G.shape[-1]
         raw[:, l] = -np.imag(tau) / np.pi
         raw[~ok, l] = np.nan

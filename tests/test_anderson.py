@@ -103,8 +103,8 @@ def test_density_sheets_mix_and_match_picard():
     grid = density_grid(source, us, eps)
     assert source.anderson == [True, True] and not grid.failures
     for l, e in enumerate(eps):
-        G, ok = prob.cauchy_stack((us[:, None, None] + 1j * e), 1, DENSITY_CONFIG)
-        assert ok.all()
-        assert np.max(np.abs(grid.raw[:, l] + G[:, 0, 0].imag / np.pi)) <= 1e-10
+        solve = prob.cauchy_stack((us[:, None, None] + 1j * e), 1, DENSITY_CONFIG)
+        assert solve.converged.all()
+        assert np.max(np.abs(grid.raw[:, l] + solve.value[:, 0, 0].imag / np.pi)) <= 1e-10
     interior = np.abs(np.abs(us) - 2.0) > 0.1
     assert np.max(np.abs(grid.density - semicircle_density(us))[interior]) <= 1e-3

@@ -373,6 +373,19 @@ def test_cli_power_rejects_a_non_finite_alpha(fixtures, tmp_path, capsys, alpha)
     assert not out.exists()
 
 
+def test_cli_power_reports_the_steps_and_residual_of_a_failed_solve(fixtures, tmp_path, capsys):
+    out = tmp_path / "g.json"
+    rc = run_command(["power", "--model", fixtures["bern.json"],
+                      "--alpha", "2", "--point", fixtures["b_i.json"],
+                      "--max-iter", "3", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "did not converge" in err and "(3 steps, residual " in err
+    residual = float(err.split("residual ")[1].split(")")[0])
+    assert np.isfinite(residual) and residual > 1e-12
+    assert not out.exists()
+
+
 def test_cli_convolve(fixtures, tmp_path):
     out = tmp_path / "g.json"
     rc = run_command(["convolve", "--model", fixtures["bern.json"],

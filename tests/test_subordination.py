@@ -14,7 +14,6 @@ from freeconv import (
     residual_h,
     scalar_to_model,
     solve_omega,
-    solve_omega_alpha,
     solve_omega_stack,
     solve_vq,
 )
@@ -402,7 +401,8 @@ def test_power_fixed_point_bernoulli_alpha_two():
     # for the symmetric Bernoulli law h(w) = -1/w, so the alpha = 2 equation
     # is w = b - 1/w with solution w = (b + sqrt(b^2 - 4))/2
     model = scalar_to_model(ScalarMeasure.symmetric_bernoulli())
-    rep = solve_omega_alpha(model, CPMap.scaled_identity(2.0, 1), np.array([[1j]]))
+    rep = solve_omega(SubordinationProblem.power(model, CPMap.scaled_identity(2.0, 1)),
+                      np.array([[1j]]))
     assert rep.converged
     expected = 1j * (1 + np.sqrt(5)) / 2
     assert abs(rep.value[0, 0] - expected) < 5e-12

@@ -8,6 +8,7 @@ from freeconv import (
     OperatorModel,
     ScalarMeasure,
     SemicircularConvolution,
+    SolveStack,
     SolverConfig,
     SubordinationProblem,
     biane_v_scalar,
@@ -92,6 +93,31 @@ def test_cauchy_eval_dispatch_and_nonconvergence():
         cauchy_eval("not a source", b)
     with pytest.raises(ValueError, match="not an amplification of B"):
         cauchy_eval(OperatorModel.partial_trace(np.eye(4), 2), 1j * np.eye(3))
+
+
+def test_convergence_errors_carry_the_report_of_the_solve():
+    bern = scalar_to_model(ScalarMeasure.symmetric_bernoulli())
+    conv = SemicircularConvolution(point_model(), CPMap.scaled_identity(1.0, 1))
+    cfg = SolverConfig(max_iter=3)
+    b = np.array([[0.01j]])
+    for evaluate in (lambda: convolution_power_g(bern, 2.0, b, cfg),
+                     lambda: cauchy_eval(conv, b, cfg)):
+        with pytest.raises(ConvergenceError) as err:
+            evaluate()
+        report = err.value.report
+        assert report.iterations == 3 and not report.converged
+        assert np.isfinite(report.residual) and report.residual > cfg.tol
+
+
+def test_r_transform_inner_failure_carries_the_inner_report():
+    bern = scalar_to_model(ScalarMeasure.symmetric_bernoulli())
+    source = ConvolutionPower(bern, CPMap.scaled_identity(2.0, 1))
+    cfg = SolverConfig(max_iter=2)
+    with pytest.raises(ConvergenceError, match="Cauchy transform") as err:
+        r_transform_eval(source, np.array([[-0.02j]]), cfg)
+    report = err.value.report
+    assert report.iterations == 2 and not report.converged
+    assert np.isfinite(report.residual) and report.residual > cfg.tol
 
 
 def _sources():
@@ -293,19 +319,27 @@ def test_density_grid_single_epsilon_and_validation():
         density_grid("x", us, (1e-2,))
 
 
-def test_density_grid_callable_source_records_failures():
-    def flaky_g(z):
-        if z.real < 0:
-            raise RuntimeError("left half not available")
-        return np.array([[1.0 / z]])
+class _LeftHalfFails:
+    """A scalar source G(z) = 1/z whose record flags every point with
+    Re z < 0 as not converged."""
 
+    base_dim = 1
+
+    def cauchy_stack(self, b_stack, level=1, cfg=None, anderson=False):
+        ok = b_stack[:, 0, 0].real >= 0
+        return SolveStack(1.0 / b_stack, np.where(ok, 1, 3), np.where(ok, 0.0, 1.0), ok)
+
+
+def test_density_grid_callable_source_records_failures():
     us = np.linspace(-1.0, 1.0, 5)
-    grid = density_grid(flaky_g, us, (1e-2, 5e-3))
+    grid = density_grid(_LeftHalfFails(), us, (1e-2, 5e-3))
     bad = {j for j, _ in grid.failures}
     assert bad == {0, 1}
     assert np.all(np.isnan(grid.density[[0, 1]]))
     assert np.all(np.isfinite(grid.density[2:]))
     assert np.isfinite(grid.mass())
+    with pytest.raises(TypeError, match="function"):
+        density_grid(lambda z: np.array([[1.0 / z]]), us, (1e-2, 5e-3))
 
 
 def test_density_grid_model_source():
