@@ -112,8 +112,6 @@ def is_strictly_positive(h, tol: float = POSITIVITY_TOL) -> bool:
 # Half-plane membership.  "upper"/"lower" refer to the sign of the imaginary
 # part, "right" to the sign of the real part.
 
-_SIDES = ("upper", "lower", "right")
-
 
 def halfplane_margin(x: np.ndarray, side: str = "upper") -> float:
     x = as_element(x)

@@ -262,12 +262,9 @@ def sha256_of(path) -> str:
 
 
 def versions_block() -> dict:
-    import scipy
-
     return {
         "freeconv": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "python": platform.python_version(),
     }
 

@@ -201,49 +201,33 @@ def r_transform_eval(source, g, cfg: SolverConfig = DEFAULT_CONFIG) -> np.ndarra
 def biane_v_scalar(measure: ScalarMeasure, t: float, u: float) -> float:
     """inf{v >= 0 : t * sum_j w_j / ((u - x_j)^2 + v^2) <= 1}.
 
-    The defining sum is strictly decreasing in v, so the infimum is 0 or the
-    unique root of sum = 1; the root is bracketed in (0, sqrt(t)] and refined
-    until the defining sum equals 1 to 1e-12.
-
-    The root finder is ``scipy.optimize.brentq``, imported here rather than
-    at module level so that ``import freeconv`` loads no ``scipy.optimize``;
-    the first call in a process pays that import (about 0.45 s).
+    In s = v^2 the defining sum is convex and strictly decreasing, so the
+    infimum is 0 or the unique root of sum = 1, and Newton's method started
+    left of that root climbs to it without overshooting.  One atom alone
+    keeps the sum >= 1 up to s = t w_j - (u - x_j)^2, so Newton starts at the
+    largest of these (or 0); the result is checked to satisfy sum = 1 to 1e-12.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    locs = measure.locations
-    wts = measure.weights
-    du2 = (u - locs) ** 2
-
-    def total(v: float) -> float:
-        return float(t * np.sum(wts / (du2 + v * v)))
-
-    hit = du2 < 1e-300
-    if np.any(wts[hit] > 0):
-        f0 = np.inf
-    else:
-        f0 = float(t * np.sum(wts[~hit] / du2[~hit])) if np.any(~hit) else 0.0
-    if f0 <= 1.0:
+    if not (np.isfinite(t) and t > 0):
+        raise ValueError("t must be positive and finite")
+    if not np.isfinite(u):
+        raise ValueError("u must be finite")
+    pos = measure.weights > 0
+    wts = measure.weights[pos]
+    du2 = (u - measure.locations[pos]) ** 2
+    s = max(float(np.max(t * wts - du2)), 0.0)
+    if s == 0.0 and float(t * np.sum(wts / du2)) <= 1.0:
         return 0.0
-
-    # solve in s = v^2; total(sqrt(t)) <= 1 since the weights sum to 1
-    def gap(s: float) -> float:
-        with np.errstate(divide="ignore"):
-            return float(t * np.sum(wts / (du2 + s))) - 1.0
-
-    from scipy.optimize import brentq
-
-    s = brentq(gap, 0.0, t, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    v = float(np.sqrt(max(s, 0.0)))
-    for _ in range(4):
-        f = total(v)
-        if abs(f - 1.0) <= 1e-13:
+    while True:
+        q = wts / (du2 + s)
+        gap = float(t * np.sum(q)) - 1.0
+        if not gap > 0.0:
             break
-        fp = float(-2.0 * t * v * np.sum(wts / (du2 + v * v) ** 2))
-        if fp == 0.0:
+        s_next = s + gap / float(t * np.sum(q / (du2 + s)))
+        if not s_next > s:
             break
-        v = max(v - (f - 1.0) / fp, 1e-300)
-    if abs(total(v) - 1.0) > 1e-12:
+        s = s_next
+    v = float(np.sqrt(s))
+    if not abs(float(t * np.sum(wts / (du2 + v * v))) - 1.0) <= 1e-12:
         raise ArithmeticError("boundary curve refinement stalled")
     return v
 

@@ -133,6 +133,13 @@ def test_semicircle_quantiles():
     assert np.max(np.abs(cdf - (np.arange(101) + 0.5) / 101)) < 1e-10
 
 
+def test_semicircle_quantiles_rejects_bad_input():
+    assert semicircle_quantiles(0, 1.0).shape == (0,)
+    for size, t in [(-1, 1.0), (5, -1.0), (5, np.nan), (5, np.inf)]:
+        with pytest.raises(ValueError, match="must be"):
+            semicircle_quantiles(size, t)
+
+
 def test_haar_rotated_variant(bernoulli_grid):
     spec = EnsembleSpec(
         "deterministic_plus_haar_rotated", BERN, 1.0, 300, 2, seed=19

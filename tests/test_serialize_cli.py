@@ -192,7 +192,7 @@ def test_provenance_block(tmp_path):
         f.read_bytes()
     ).hexdigest()
     assert sha256_of(f) == block["inputs"]["problem"]["sha256"]
-    assert set(block["versions"]) == {"freeconv", "numpy", "scipy", "python"}
+    assert set(block["versions"]) == {"freeconv", "numpy", "python"}
     assert "rng_algorithm" not in block
     flat = json.dumps(block)
     assert "time" not in flat and "date" not in flat

@@ -270,6 +270,19 @@ def test_biane_curve_two_atoms():
         biane_v_scalar(m, 0.0, 0.0)
 
 
+def test_biane_curve_rejects_bad_input_and_starts_near_atoms():
+    m = ScalarMeasure.point(0.0)
+    for t, u in [(np.inf, 0.0), (np.nan, 0.0), (-1.0, 0.0), (1.0, np.nan), (1.0, -np.inf)]:
+        with pytest.raises(ValueError, match="must be"):
+            biane_v_scalar(m, t, u)
+    # u a hair off the atom: v = sqrt(t - u^2) without overflow in the Newton step
+    assert abs(biane_v_scalar(m, 1e6, 1e-140) - 1e3) <= 1e-12 * 1e3
+    # an atom of weight zero at u does not count
+    gap = ScalarMeasure(((-1.0, 0.5), (0.0, 0.0), (1.0, 0.5)))
+    assert biane_v_scalar(gap, 0.5, 0.0) == 0.0
+    assert abs(biane_v_scalar(gap, 1.5, 0.0) - np.sqrt(0.5)) <= 1e-12
+
+
 def test_density_grid_semicircle_and_invariants():
     prob = semicircle_problem(point_model(), CPMap.scaled_identity(1.0, 1))
     us = np.linspace(-2.5, 2.5, 301)
