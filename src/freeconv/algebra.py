@@ -73,7 +73,7 @@ def imag_part(x: np.ndarray) -> np.ndarray:
 
 def opnorm(x: np.ndarray) -> float:
     """Operator (spectral) norm of a single matrix."""
-    return float(np.linalg.norm(x, 2))
+    return float(opnorm_stack(x))
 
 
 def opnorm_stack(x: np.ndarray) -> np.ndarray:
@@ -449,6 +449,11 @@ class CPMap:
         S.flags.writeable = False
         return S
 
+    @cached_property
+    def _kraus_dag(self) -> tuple[np.ndarray, ...]:
+        """The adjoints K_j* of the Kraus operators, formed once."""
+        return tuple(dag(K) for K in self.kraus)
+
     def apply(self, x, level: int = 1):
         """Evaluate the map (blockwise at amplification level > 1); a
         BlockUpper point at level k is mapped block by block at level k/2."""
@@ -477,16 +482,16 @@ class CPMap:
             return out.reshape(batch + (k * o, k * o))
         if level == 1:      # the reshapes below cost more than they save here
             out = None
-            for K in self.kraus:
-                term = (K @ x) @ dag(K)
+            for K, Kh in zip(self.kraus, self._kraus_dag):
+                term = (K @ x) @ Kh
                 out = term if out is None else out + term
             return out
         # the block rows (k, in, k*in) times K, then every block column times K*
         k = level
         rows = x.reshape(batch + (k, i, k * i))
         out = None
-        for K in self.kraus:
-            term = (K @ rows).reshape(-1, i) @ dag(K)
+        for K, Kh in zip(self.kraus, self._kraus_dag):
+            term = (K @ rows).reshape(-1, i) @ Kh
             out = term if out is None else out + term
         return out.reshape(batch + (k * o, k * o))
 

@@ -5,6 +5,13 @@ diff cleanly; all writers sort keys and avoid timestamps, making repeated
 runs byte-identical.  Files are strict JSON: a non-finite number is written
 as null, and a null matrix entry is refused on reading.  CSV density sheets
 carry their provenance in leading comment lines and list failed points.
+
+A generic problem file holds its nonlinearity under exactly one of two keys:
+"eta", the CP map from the ambient algebra into B, or "beta", the covariance
+on B of a semicircular element added to the model, with eta = beta o E.  A
+problem that keeps its beta (semicircle_problem) is written with "beta":
+r Kraus operators of size n x n in place of the r m operators of size
+n x nm that eta has.
 """
 
 from __future__ import annotations
@@ -135,7 +142,10 @@ def problem_to_json(problem: SubordinationProblem,
                     solver: SolverConfig | None = None) -> dict:
     out: dict = {"model": model_to_json(problem.model), "variant": problem.variant}
     if problem.variant == "generic":
-        out["eta"] = cp_map_to_json(problem.eta)
+        if problem.beta is not None:
+            out["beta"] = cp_map_to_json(problem.beta)
+        else:
+            out["eta"] = cp_map_to_json(problem.eta)
         if np.any(problem.a):
             out["a"] = matrix_to_json(problem.a)
     else:
@@ -148,13 +158,16 @@ def problem_to_json(problem: SubordinationProblem,
 def problem_from_json(d: dict, base: SolverConfig | None = None
                       ) -> tuple[SubordinationProblem, SolverConfig | None]:
     """Parse a problem file; returns the problem and its solver block, if
-    any, read over base (default SolverConfig())."""
+    any, read over base (default SolverConfig()).  A generic problem needs
+    exactly one of the keys "eta" and "beta"."""
     model = model_from_json(d["model"])
     variant = d.get("variant", "generic")
     if variant == "generic":
-        eta = cp_map_from_json(d["eta"])
+        if ("eta" in d) == ("beta" in d):
+            raise ValueError('a generic problem needs exactly one of "eta" and "beta"')
+        maps = {key: cp_map_from_json(d[key]) for key in ("eta", "beta") if key in d}
         a = matrix_from_json(d["a"]) if "a" in d else None
-        problem = SubordinationProblem.generic(model, eta, a)
+        problem = SubordinationProblem(model=model, a=a, **maps)
     elif variant == "power":
         alpha = d["alpha"]
         alpha = CPMap.scaled_identity(float(alpha), model.base_dim) \

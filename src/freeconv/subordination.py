@@ -163,6 +163,10 @@ class SubordinationProblem:
 
     variant "generic" uses (a, eta); variant "power" uses alpha, with the
     nonlinearity (alpha - Id) h(w) derived from the model's own h-transform.
+    A generic problem for the model plus a semicircular element of
+    covariance beta (a CP map on B) is given by beta in place of eta, and
+    keeps it: eta = beta o E is derived from it here, with E the model's
+    conditional expectation.
     """
 
     model: OperatorModel
@@ -170,12 +174,20 @@ class SubordinationProblem:
     a: np.ndarray | None = None
     alpha: CPMap | None = None
     variant: str = "generic"
+    beta: CPMap | None = None
 
     def __post_init__(self):
         n, N = self.model.base_dim, self.model.ambient_dim
         if self.variant == "generic":
+            if self.beta is not None:
+                if self.eta is not None:
+                    raise ValueError("give eta or beta, not both")
+                if self.beta.in_dim != n or self.beta.out_dim != n:
+                    raise ValueError(f"beta must act on B (dim {n})")
+                expectation = CPMap.from_kraus(self.model.expectation_kraus(), to_base=True)
+                object.__setattr__(self, "eta", self.beta.compose(expectation))
             if self.eta is None:
-                raise ValueError("generic problems need an eta map")
+                raise ValueError("generic problems need an eta map or a beta map")
             if self.eta.out_dim != n or self.eta.in_dim != N:
                 raise ValueError(
                     f"eta must map the ambient algebra (dim {N}) to B (dim {n})")
@@ -189,8 +201,8 @@ class SubordinationProblem:
                 raise ValueError("power problems need an alpha map")
             if self.alpha.in_dim != n or self.alpha.out_dim != n:
                 raise ValueError("alpha must act on B")
-            if self.eta is not None or self.a is not None:
-                raise ValueError("power problems take no eta or shift")
+            if self.eta is not None or self.beta is not None or self.a is not None:
+                raise ValueError("power problems take no eta, beta or shift")
             gap = choi_minus_identity_min(self.alpha)
             if gap < -1e-10:
                 raise ValueError(
@@ -294,11 +306,13 @@ def _newton_points(derivative, w: np.ndarray, diff: np.ndarray,
 
 
 def _positive_definite(part: Callable[[np.ndarray], np.ndarray]):
-    """Mask of the finite entries w of a stack with part(w) positive definite."""
+    """Mask of the finite entries w of a stack with part(w) positive definite
+    (for 1 x 1 entries, read off the one real number)."""
 
     def admissible(w: np.ndarray) -> np.ndarray:
         ok = np.all(np.isfinite(w), axis=(-2, -1))
-        ok[ok] = np.linalg.eigvalsh(part(w[ok]))[:, 0] > 0
+        p = part(w[ok])
+        ok[ok] = (p[:, 0, 0].real if w.shape[-1] == 1 else np.linalg.eigvalsh(p)[:, 0]) > 0
         return ok
 
     return admissible
@@ -383,10 +397,18 @@ class _AndersonHistory:
         self._clear(res2 > self.res2)
         self.f, self.p, self.res2 = f, pv, res2
         dfh = self.df.conj()
-        gram = dfh @ self.df.swapaxes(-1, -2)
-        ridge = 1e-13 * np.trace(gram.real, axis1=-2, axis2=-1) + np.finfo(float).tiny
-        gram[:, range(ANDERSON_DEPTH), range(ANDERSON_DEPTH)] += ridge[:, None]
-        gamma = np.linalg.solve(gram, dfh @ f[..., None])
+        if f.shape[-1] == 1:
+            # push-through: (dF* dF + r)^-1 dF* f = dF* (dF dF* + r)^-1 f, and
+            # dF dF* is the number ||dF||^2; the product comes first, so
+            # that a cleared slot gives 0 and not inf * 0
+            norm2 = np.sum(self.df.real ** 2 + self.df.imag ** 2, axis=(-2, -1))
+            den = (1.0 + 1e-13) * norm2 + np.finfo(float).tiny
+            gamma = dfh * f[:, None] / den[:, None, None]
+        else:
+            gram = dfh @ self.df.swapaxes(-1, -2)
+            ridge = 1e-13 * np.trace(gram.real, axis1=-2, axis2=-1) + np.finfo(float).tiny
+            gram[:, range(ANDERSON_DEPTH), range(ANDERSON_DEPTH)] += ridge[:, None]
+            gamma = np.linalg.solve(gram, dfh @ f[..., None])
         cand = (pv - (gamma.swapaxes(-1, -2) @ self.dp)[:, 0]).reshape(p.shape)
         bad = ~admissible(cand)
         cand[bad] = p[bad]
@@ -583,9 +605,11 @@ def _vq_arguments(problem: SubordinationProblem, q, u) -> tuple[np.ndarray, np.n
 
 
 def _selfadjoint(x) -> bool:
-    """x = dag(x) within HERMITIAN_TOL (for a BlockUpper: [[a, c], [0, a*]], c = c*)."""
+    """x = dag(x) within HERMITIAN_TOL, each entry of a stack against its own
+    norm (for a BlockUpper: [[a, c], [0, a*]], c = c*)."""
     pairs = ((x.top, x.bottom), (x.corner, x.corner)) if isinstance(x, BlockUpper) else ((x, x),)
-    return all(np.linalg.norm(a - dag(b)) <= HERMITIAN_TOL * (1.0 + np.linalg.norm(a))
+    return all(np.all(np.linalg.norm(a - dag(b), axis=(-2, -1))
+                      <= HERMITIAN_TOL * (1.0 + np.linalg.norm(a, axis=(-2, -1))))
                for a, b in pairs)
 
 
@@ -597,32 +621,47 @@ def g_q(problem: SubordinationProblem, q, u, v, level: int = 1):
     q + (h(u + iv) - h(u - iv))/2i, and h(u - iv) = dag(h(u + iv)) when u and
     v equal their dag, as in v_q solves and their amplifications.
     """
+    return _g_q(problem, q, u, v, level, _selfadjoint(u) and _selfadjoint(v))
+
+
+def _g_q(problem: SubordinationProblem, q, u, v, level: int, mirrored: bool):
+    """g_q with h(u - iv) taken as dag(h(u + iv)) when mirrored."""
     h_plus = problem.h_map(u + 1j * v, level)
-    h_minus = dag(h_plus) if _selfadjoint(u) and _selfadjoint(v) else \
-        problem.h_map(u - 1j * v, level)
+    h_minus = dag(h_plus) if mirrored else problem.h_map(u - 1j * v, level)
     return q + 0.5j * (h_minus - h_plus)
 
 
-def _gq_step(problem: SubordinationProblem, q_stack: np.ndarray,
-             u_stack: np.ndarray, level: int):
+def _entries(x, idx: np.ndarray):
+    """Entries idx of a stack; a BlockUpper keeps a block its stack shares."""
+    if isinstance(x, BlockUpper):
+        return x.map_blocks(lambda blk: blk if blk.ndim == 2 else blk[idx])
+    return x[idx]
+
+
+def _gq_step(problem: SubordinationProblem, q, u, level: int, mirrored: bool):
+    """The v_q step on the split stacks q and u; mirrored is decided once per
+    solve (see solve_gq_stack)."""
+
     def step(v, idx):
-        q, u = split(q_stack[idx], level), split(u_stack[idx], level)
-        return dense(g_q(problem, q, u, split(v, level), level))
+        return dense(_g_q(problem, _entries(q, idx), _entries(u, idx), split(v, level),
+                          level, mirrored))
 
     return step
 
 
 def _gq_jacobians(problem: SubordinationProblem, u: np.ndarray, v: np.ndarray,
-                  level: int) -> tuple[np.ndarray, np.ndarray]:
+                  level: int, mirrored: bool | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(D_v g_q, D_u g_q) on vec(M_d), d = n k at level k, at each entry of
     the stacks u and v; q drops out.
 
     With J+- = Dh(u +- iv), D_v g_q = (J+ + J-)/2 and D_u g_q =
-    (J+ - J-)/2i.  For selfadjoint u and v, J- = P conj(J+) P with P the
-    transpose on vec, so one Jacobian serves; otherwise one _jacobians call
-    takes both points.
+    (J+ - J-)/2i.  For selfadjoint u and v (mirrored; tested here when
+    None), J- = P conj(J+) P with P the transpose on vec, so one Jacobian
+    serves; otherwise one _jacobians call takes both points.
     """
-    if _selfadjoint(u) and _selfadjoint(v):
+    if mirrored is None:
+        mirrored = _selfadjoint(u) and _selfadjoint(v)
+    if mirrored:
         jp = _jacobians(lambda x: problem.h_map(x, 2 * level), u + 1j * v)
         p = np.arange(jp.shape[-1]).reshape(u.shape[-2:]).T.ravel()   # P on vec
         jm = jp[..., p[:, None], p].conj()
@@ -635,7 +674,14 @@ def _gq_jacobians(problem: SubordinationProblem, u: np.ndarray, v: np.ndarray,
 def solve_gq_stack(problem: SubordinationProblem, q_stack: np.ndarray,
                    u_stack: np.ndarray, cfg: SolverConfig = DEFAULT_CONFIG,
                    level: int | None = None) -> SolveStack:
-    """Batched v_q solves; u entries may be non-selfadjoint amplifications."""
+    """Batched v_q solves; u entries may be non-selfadjoint amplifications.
+
+    When q, u and the start are selfadjoint, so is every iterate, and each
+    step takes h(u - iv) as dag(h(u + iv)): one h_map call.  That is tested
+    once, here, and not at every step: on the split points for the steps,
+    and on the dense points for the Newton derivatives, which mirror through
+    the transpose on vec.
+    """
     _require_generic(problem, "solve_vq")
     q_stack = np.asarray(q_stack, dtype=complex)
     u_stack = np.asarray(u_stack, dtype=complex)
@@ -646,8 +692,13 @@ def solve_gq_stack(problem: SubordinationProblem, q_stack: np.ndarray,
     else:
         v0 = np.broadcast_to(np.asarray(cfg.start, dtype=complex), u_stack.shape)
     v0 = np.array(v0, dtype=complex)
-    return _picard_stack(_gq_step(problem, q_stack, u_stack, k), v0, cfg,
-                         lambda v, idx: _gq_jacobians(problem, u_stack[idx], v, k)[0],
+    points = (q_stack, u_stack, v0)
+    q, u, start = (split(x, k) for x in points)
+    mirrored = all(_selfadjoint(x) for x in (q, u, start))
+    dense_mirrored = all(_selfadjoint(x) for x in points)
+    return _picard_stack(_gq_step(problem, q, u, k, mirrored), v0, cfg,
+                         lambda v, idx: _gq_jacobians(problem, u_stack[idx], v, k,
+                                                      dense_mirrored)[0],
                          _domain(_in_right_halfplane, k, q_stack, u_stack, v0))
 
 

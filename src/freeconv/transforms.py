@@ -49,10 +49,11 @@ def _as_cp_map(value, dim: int) -> CPMap:
 
 
 def semicircle_problem(model: OperatorModel, beta: CPMap) -> SubordinationProblem:
-    """Generic subordination problem for model + semicircular noise:
-    a = 0 and eta = beta composed with the conditional expectation."""
-    eta = beta.compose(CPMap.from_kraus(model.expectation_kraus(), to_base=True))
-    return SubordinationProblem.generic(model, eta)
+    """Generic subordination problem for model + semicircular noise of
+    covariance beta: a = 0, and the problem keeps beta, from which it
+    derives eta = beta composed with the conditional expectation (so a
+    problem file stores the n x n Kraus operators of beta, not those of eta)."""
+    return SubordinationProblem(model=model, beta=beta)
 
 
 @dataclass(frozen=True)

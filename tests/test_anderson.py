@@ -1,5 +1,7 @@
 """Anderson mixing in the shared fixed-point driver (anderson=True)."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from freeconv import (
     scalar_to_model,
     solve_omega_stack,
 )
-from freeconv.subordination import _omega_step, _picard_stack
+from freeconv.subordination import ANDERSON_DEPTH, _AndersonHistory, _omega_step, _picard_stack
 from freeconv.transforms import DENSITY_CONFIG, density_grid, semicircle_problem
 
 from _oracles import semicircle_density
@@ -108,3 +110,58 @@ def test_density_sheets_mix_and_match_picard():
         assert np.max(np.abs(grid.raw[:, l] + solve.value[:, 0, 0].imag / np.pi)) <= 1e-10
     interior = np.abs(np.abs(us) - 2.0) > 0.1
     assert np.max(np.abs(grid.density - semicircle_density(us))[interior]) <= 1e-3
+
+
+def _exact_ridge_solution(df: np.ndarray, f: complex) -> list[complex]:
+    """gamma of the ridge normal equations (dF* dF + r) gamma = dF* f of one
+    entry with a one-coordinate residual, r = 1e-13 trace(dF* dF) + tiny,
+    solved in exact rational arithmetic as a real 2 ANDERSON_DEPTH system."""
+    x = [Fraction(float(v.real)) for v in df]
+    y = [Fraction(float(v.imag)) for v in df]
+    fx, fy = Fraction(float(f.real)), Fraction(float(f.imag))
+    k = len(df)
+    ridge = Fraction(1e-13) * sum(a * a + b * b for a, b in zip(x, y)) \
+        + Fraction(np.finfo(float).tiny)
+    gr = [[x[i] * x[j] + y[i] * y[j] + (ridge if i == j else 0) for j in range(k)]
+          for i in range(k)]
+    gi = [[x[i] * y[j] - y[i] * x[j] for j in range(k)] for i in range(k)]
+    rows = [gr[i] + [-v for v in gi[i]] + [x[i] * fx + y[i] * fy] for i in range(k)]
+    rows += [gi[i] + gr[i] + [x[i] * fy - y[i] * fx] for i in range(k)]
+    for c in range(2 * k):          # Gauss-Jordan; the system is positive definite
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(2 * k):
+            if r != c and rows[r][c]:
+                rows[r] = [a - rows[r][c] * b for a, b in zip(rows[r], rows[c])]
+    return [complex(float(rows[i][-1]), float(rows[k + i][-1])) for i in range(k)]
+
+
+def test_one_coordinate_mixing_is_the_ridge_solution_in_closed_form():
+    # at d = 1 the mixing takes gamma = conj(dF) f / ((1 + 1e-13) ||dF||^2 + tiny)
+    # in place of a batched 3 x 3 solve; against the exact solution of the
+    # normal equations on random histories with unused slots (never
+    # written), entries cleared before this step and entries whose residual
+    # grew, which the step clears itself
+    rng = np.random.default_rng(2024)
+    nb = 8
+
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    hist = _AndersonHistory(nb, 1)
+    hist.df[:], hist.dp[:] = draw(nb, ANDERSON_DEPTH, 1), draw(nb, ANDERSON_DEPTH, 1)
+    hist.df[:3, 2] = hist.dp[:3, 2] = 0.0       # a slot not written yet
+    hist.df[3:5] = hist.dp[3:5] = 0.0           # cleared earlier
+    hist.f, hist.p, hist.res2 = draw(nb, 1), draw(nb, 1), np.full(nb, 2.0)
+    hist.f[4] = 0.3 + 0.1j                      # so its new slot is zero too
+    diff, p = draw(nb, 1, 1), draw(nb, 1, 1)
+    diff[4, 0, 0] = 0.3 + 0.1j
+    res2 = np.ones(nb)
+    res2[5:7] = 3.0                             # grew: cleared by this step
+    cand = hist.mix(diff, res2, p, lambda w: np.ones(len(w), bool))
+    assert np.all(np.isfinite(cand))
+    for i in range(nb):
+        gamma = _exact_ridge_solution(hist.df[i, :, 0], diff[i, 0, 0])
+        want = p[i, 0, 0] - sum(g * d for g, d in zip(gamma, hist.dp[i, :, 0]))
+        scale = abs(p[i, 0, 0]) + sum(abs(g * d) for g, d in zip(gamma, hist.dp[i, :, 0]))
+        assert abs(cand[i, 0, 0] - want) <= 1e-14 * scale, i
+    assert np.array_equal(cand[4:7], p[4:7])    # empty histories give gamma = 0

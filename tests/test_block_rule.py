@@ -69,12 +69,12 @@ def test_amplified_vq_solve_calls_g_q_with_blocks(monkeypatch):
     q = np.stack([identity_kron(2, 0.1 * np.eye(2) + random_psd(rng, 2))
                   for _ in range(STACK)])
     u = _amplified(rng, lambda: random_hermitian(rng, 2), 2)
-    calls = _record(monkeypatch, subordination, "g_q")
+    calls = _record(monkeypatch, SubordinationProblem, "h_map")
     solved = solve_gq_stack(prob, q, u, level=2)
     assert solved.converged.all()
     assert calls
-    for _, _, u_arg, v_arg, level in calls:
-        assert isinstance(u_arg, BlockUpper) and isinstance(v_arg, BlockUpper)
+    for _, w_arg, level in calls:
+        assert isinstance(w_arg, BlockUpper)
         assert level == 2
 
 
@@ -166,9 +166,9 @@ def test_newton_steps_of_an_amplified_solve_keep_the_block_form(solve, monkeypat
     else:
         q, u = np.array([[1e-2]]), np.array([[0.1]])
         points = np.stack([upper_block(u, np.array([[c]]), u) for c in (100.0, -100.0)])
-        calls = _record(monkeypatch, subordination, "g_q")
+        calls = _record(monkeypatch, SubordinationProblem, "h_map")
         solved = solve_gq_stack(prob, np.stack([identity_kron(2, q)] * 2), points, level=2)
-        args = [x for call in calls for x in call[2:4]]
+        args = [x for _, x, level in calls if level == 2]
     assert solved.converged.all()
     assert solved.iterations.max() > subordination._newton_budget(2)
     assert args and all(isinstance(x, BlockUpper) for x in args)

@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freeconv import CPMap, OperatorModel, ScalarMeasure, phi_q, scalar_to_model, solve_vq
+import freeconv.subordination as subordination
+from freeconv import (CPMap, OperatorModel, ScalarMeasure, SubordinationProblem, phi_q,
+                      scalar_to_model, solve_vq)
 from freeconv.algebra import (BlockUpper, dense, identity_kron, imag_part, split, unvec,
                               upper_block, vec)
-from freeconv.subordination import _gq_jacobians, g_q
+from freeconv.subordination import _gq_jacobians, _newton_budget, g_q, solve_gq_stack
 from freeconv.transforms import semicircle_problem
 
 from helpers import random_hermitian, random_problem, random_psd
@@ -127,3 +129,39 @@ def test_scalar_base_vq_and_phi_q_invert_no_matrix(case, monkeypatch):
         assert rep.iterations > 54
     phi_q(prob, np.array([[q]]), np.array([[u]]))
     assert calls == []
+
+
+def test_vq_solve_tests_selfadjointness_once_not_at_every_step(monkeypatch):
+    # q, u and the start decide once per solve whether h(u - iv) is taken
+    # as dag(h(u + iv)); the count of tests does not grow with the steps,
+    # Picard or Newton, and a Picard step then calls h_map once
+    prob = semicircle_problem(scalar_to_model(ScalarMeasure.point(0.0)),
+                              CPMap.scaled_identity(1.0, 1))
+    calls = _record(monkeypatch, subordination, "_selfadjoint")
+    h_calls = _record(monkeypatch, SubordinationProblem, "h_map")
+    seen = []
+    for q in (3.0, 1.0, 1e-2):
+        calls.clear()
+        h_calls.clear()
+        rep = solve_vq(prob, np.array([[q]]), np.array([[0.3]]))
+        assert rep.converged
+        if rep.iterations <= _newton_budget(1):
+            assert len(h_calls) == rep.iterations
+        seen.append((rep.iterations, len(calls)))
+    steps = [it for it, _ in seen]
+    assert len(set(steps)) == len(steps) and max(steps) > _newton_budget(1)
+    assert len({count for _, count in seen}) == 1, seen
+
+
+def test_each_entry_of_a_stack_is_tested_for_selfadjointness():
+    # a large selfadjoint u entry must not let a small non-selfadjoint one
+    # pass a test taken on the norms of the whole stack
+    prob = semicircle_problem(scalar_to_model(ScalarMeasure.point(0.0)),
+                              CPMap.scaled_identity(1.0, 1))
+    q = np.full((2, 1, 1), 0.5 + 0j)
+    u = np.array([[[1e10]], [[0.3 + 0.2j]]])
+    v = np.ones((2, 1, 1), dtype=complex)
+    _close(g_q(prob, q, u, v)[1], g_q(prob, q[1:], u[1:], v[1:])[0], 1e-14)
+    stacked, alone = solve_gq_stack(prob, q, u), solve_gq_stack(prob, q[1:], u[1:])
+    assert stacked.converged.all() and alone.converged.all()
+    _close(stacked.value[1], alone.value[0], 1e-12)

@@ -21,6 +21,7 @@ from freeconv import (
     scalar_to_model,
 )
 from freeconv.cli import build_parser, run_command
+from freeconv.subordination import solve_omega_stack
 from freeconv.serialize import (
     cp_map_from_json,
     cp_map_to_json,
@@ -154,6 +155,105 @@ def test_solver_block_roundtrip_reads_missing_keys_from_the_base():
     assert problem_from_json(data, DENSITY_CONFIG)[1].damping == 0.5
     assert solver_config_from_json({"tol": 1e-10}, DENSITY_CONFIG) == \
         replace(DENSITY_CONFIG, tol=1e-10)
+
+
+def _semicircle_matrix_problem(rng, n: int, m: int) -> SubordinationProblem:
+    """An M_n-valued model with an M_m factor plus a semicircular element
+    whose covariance beta(b) = W diag(A diag(W* b W)) W* has n^2 Kraus
+    operators, as in the density-matrix benchmark (n = 3, m = 10)."""
+    X = rng.standard_normal((n * m, n * m)) + 1j * rng.standard_normal((n * m, n * m))
+    W = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    A = rng.uniform(0.1, 0.5, (n, n))
+    beta = CPMap.from_kraus([np.sqrt(A[i, j]) * np.outer(W[:, i], W[:, j].conj())
+                             for i in range(n) for j in range(n)])
+    return semicircle_problem(OperatorModel.partial_trace((X + X.conj().T) / 4, n), beta)
+
+
+def _eta_form(problem: SubordinationProblem) -> dict:
+    """The problem's file with eta = beta o E written out, the form that
+    files of semicircle problems took before they kept beta."""
+    data = problem_to_json(problem)
+    del data["beta"]
+    data["eta"] = cp_map_to_json(problem.eta)
+    return json.loads(json.dumps(data))
+
+
+def _same_kraus(f, g) -> bool:
+    return len(f.kraus) == len(g.kraus) and all(
+        np.array_equal(K, L) for K, L in zip(f.kraus, g.kraus))
+
+
+def _points(n: int) -> np.ndarray:
+    return (np.linspace(-2.0, 2.0, 5)[:, None, None] + 0.05j) * np.eye(n)
+
+
+def test_semicircle_problem_files_keep_beta():
+    prob = _semicircle_matrix_problem(np.random.default_rng(24), 2, 3)
+    data = json.loads(json.dumps(problem_to_json(prob)))
+    assert "beta" in data and "eta" not in data
+    back, _ = problem_from_json(data)
+    assert _same_kraus(back.beta, prob.beta) and _same_kraus(back.eta, prob.eta)
+    want, got = solve_omega_stack(prob, _points(2)), solve_omega_stack(back, _points(2))
+    assert want.converged.all()
+    assert all(np.array_equal(x, y) for x, y in zip(want, got))
+
+
+def test_problem_files_with_eta_still_load():
+    prob = _semicircle_matrix_problem(np.random.default_rng(25), 2, 3)
+    back, _ = problem_from_json(_eta_form(prob))
+    assert back.beta is None and _same_kraus(back.eta, prob.eta)
+    want, got = solve_omega_stack(prob, _points(2)), solve_omega_stack(back, _points(2))
+    assert all(np.array_equal(x, y) for x, y in zip(want, got))
+
+
+def test_problems_take_eta_or_beta_not_both():
+    prob = _semicircle_matrix_problem(np.random.default_rng(26), 2, 3)
+    with pytest.raises(ValueError, match="not both"):
+        SubordinationProblem(model=prob.model, eta=prob.eta, beta=prob.beta)
+    with pytest.raises(ValueError, match="act on B"):
+        SubordinationProblem(model=prob.model, beta=CPMap.scaled_identity(1.0, 3))
+    with pytest.raises(ValueError, match="beta"):
+        SubordinationProblem(model=prob.model, alpha=CPMap.scaled_identity(2.0, 2),
+                             beta=prob.beta, variant="power")
+
+
+@pytest.mark.parametrize("keys", [("eta", "beta"), ()], ids=["both", "neither"])
+def test_problem_file_needs_exactly_one_of_eta_and_beta(keys, tmp_path, capsys):
+    prob = _semicircle_matrix_problem(np.random.default_rng(27), 2, 3)
+    data = _eta_form(prob)
+    del data["eta"]
+    for key in keys:
+        data[key] = cp_map_to_json(getattr(prob, key))
+    with pytest.raises(ValueError, match="exactly one"):
+        problem_from_json(data)
+    dump_json(data, tmp_path / "p.json")
+    rc = run_command(["density", "--problem", str(tmp_path / "p.json"), "--xmin", "-1",
+                      "--xmax", "1", "--steps", "3", "--eps", "1e-2",
+                      "--out", str(tmp_path / "rho.csv")])
+    assert rc == 1
+    assert "exactly one" in capsys.readouterr().err
+    assert not (tmp_path / "rho.csv").exists()
+
+
+def test_density_sheets_of_both_problem_forms_agree(tmp_path):
+    prob = _semicircle_matrix_problem(np.random.default_rng(28), 2, 3)
+    rows = []
+    for name, data in (("beta", problem_to_json(prob)), ("eta", _eta_form(prob))):
+        dump_json(data, tmp_path / f"{name}.json")
+        sheet = tmp_path / f"{name}.csv"
+        assert run_command(["density", "--problem", str(tmp_path / f"{name}.json"),
+                            "--xmin", "-2", "--xmax", "2", "--steps", "9",
+                            "--eps", "2e-2,1e-2", "--out", str(sheet)]) == 0
+        rows.append([line for line in sheet.read_text().splitlines()
+                     if not line.startswith("# provenance")])
+    assert rows[0] == rows[1]
+
+
+def test_beta_form_of_a_density_matrix_size_problem_is_a_fifth_of_the_eta_form(tmp_path):
+    prob = _semicircle_matrix_problem(np.random.default_rng(29), 3, 10)
+    dump_json(problem_to_json(prob), tmp_path / "beta.json")
+    dump_json(_eta_form(prob), tmp_path / "eta.json")
+    assert 5 * (tmp_path / "beta.json").stat().st_size <= (tmp_path / "eta.json").stat().st_size
 
 
 def test_ensemble_roundtrip():
