@@ -38,6 +38,7 @@ from .model import (
     scalar_to_model,
 )
 from .subordination import (
+    CauchyStack,
     ConvergenceError,
     DEFAULT_CONFIG,
     SolveReport,

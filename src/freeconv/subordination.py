@@ -45,7 +45,7 @@ right inverse of r -> Re omega(r + iq) on the real axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -88,7 +88,10 @@ class SolverConfig:
 
     Convergence is declared on the residual of the fixed-point equation, not
     on step size.  start, when given, replaces the default initial point (b
-    itself for subordination solves, q + 1 for v_q solves).  Both solves on
+    itself for subordination solves, q + 1 for v_q solves); it is one point
+    for every entry or a stack of per-entry starts, and must broadcast to the
+    stack's shape (ValueError otherwise).  Density sheets pass the fixed
+    points of the sheet above as per-entry starts.  Both solves on
     a d x d point switch from Picard to Newton steps after 6 (9 + d^4/32)
     steps without converging (54 at d = 1 and 2, 66 at d = 3); max_iter
     counts both kinds of step, and damping applies to the Picard steps only.
@@ -157,6 +160,20 @@ class SolveStack(NamedTuple):
         return self.value
 
 
+class CauchyStack(SolveStack):
+    """The record of a Cauchy source that solves a fixed point: value is
+    G(b) = G_X(omega(b)), and omega holds the fixed points omega(b) it was
+    read from (the final iterates where unconverged)."""
+
+    def __new__(cls, value, iterations, residual, converged, omega):
+        record = super().__new__(cls, value, iterations, residual, converged)
+        record.omega = omega
+        return record
+
+    def _replace(self, **changes) -> "CauchyStack":
+        return CauchyStack(*super()._replace(**changes), omega=self.omega)
+
+
 @dataclass(frozen=True)
 class SubordinationProblem:
     """A model together with the data of one fixed-point equation.
@@ -166,7 +183,10 @@ class SubordinationProblem:
     A generic problem for the model plus a semicircular element of
     covariance beta (a CP map on B) is given by beta in place of eta, and
     keeps it: eta = beta o E is derived from it here, with E the model's
-    conditional expectation.
+    conditional expectation.  dataclasses.replace hands the derived eta back
+    together with beta, and _derived_eta (which only replace passes) tells it
+    apart from an eta given with beta, which is a ValueError; the eta is then
+    derived anew, so replace gives the problem built anew from its fields.
     """
 
     model: OperatorModel
@@ -175,17 +195,19 @@ class SubordinationProblem:
     alpha: CPMap | None = None
     variant: str = "generic"
     beta: CPMap | None = None
+    _derived_eta: InitVar[CPMap | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _derived_eta):
         n, N = self.model.base_dim, self.model.ambient_dim
         if self.variant == "generic":
             if self.beta is not None:
-                if self.eta is not None:
+                if self.eta is not None and self.eta is not _derived_eta:
                     raise ValueError("give eta or beta, not both")
                 if self.beta.in_dim != n or self.beta.out_dim != n:
                     raise ValueError(f"beta must act on B (dim {n})")
                 expectation = CPMap.from_kraus(self.model.expectation_kraus(), to_base=True)
                 object.__setattr__(self, "eta", self.beta.compose(expectation))
+                object.__setattr__(self, "_derived_eta", self.eta)
             if self.eta is None:
                 raise ValueError("generic problems need an eta map or a beta map")
             if self.eta.out_dim != n or self.eta.in_dim != N:
@@ -223,11 +245,14 @@ class SubordinationProblem:
         return self.model.base_dim
 
     def cauchy_stack(self, b_stack: np.ndarray, level: int = 1,
-                     cfg: SolverConfig = DEFAULT_CONFIG, anderson: bool = False) -> SolveStack:
+                     cfg: SolverConfig = DEFAULT_CONFIG, anderson: bool = False) -> CauchyStack:
         """The record of a batched solve, with G(b) = G_X(omega(b)) as its
-        value; the solve takes dense points (a BlockUpper stack is assembled)."""
-        solve = solve_omega_stack(self, dense(b_stack), cfg, level, anderson)
-        return solve._replace(value=dense(self.model.cauchy(split(solve.value, level), level)))
+        value and the fixed points as its omega; the solve takes dense points
+        (a BlockUpper stack is assembled)."""
+        w, iterations, residual, converged = solve_omega_stack(
+            self, dense(b_stack), cfg, level, anderson)
+        return CauchyStack(dense(self.model.cauchy(split(w, level), level)),
+                           iterations, residual, converged, omega=w)
 
     # -- the nonlinear part of the fixed-point map ------------------------
 
@@ -544,6 +569,16 @@ def _omega_derivative(problem: SubordinationProblem, level: int):
     return derivative
 
 
+def _start_stack(cfg: SolverConfig, shape: tuple[int, ...]) -> np.ndarray:
+    """cfg.start broadcast to a stack of the given shape, as a new array."""
+    start = np.asarray(cfg.start, dtype=complex)
+    try:
+        return np.broadcast_to(start, shape).copy()
+    except ValueError:
+        raise ValueError(f"start has shape {start.shape}, which does not broadcast "
+                         f"to the stack's shape {shape}") from None
+
+
 def solve_omega_stack(problem: SubordinationProblem, b_stack: np.ndarray,
                       cfg: SolverConfig = DEFAULT_CONFIG,
                       level: int | None = None, anderson: bool = False) -> SolveStack:
@@ -552,8 +587,7 @@ def solve_omega_stack(problem: SubordinationProblem, b_stack: np.ndarray,
     b_stack = np.asarray(b_stack, dtype=complex)
     k = amplification_level(b_stack, problem.base_dim) if level is None else level
     step = _omega_step(problem, b_stack, k)
-    w0 = b_stack if cfg.start is None else np.broadcast_to(
-        np.asarray(cfg.start, dtype=complex), b_stack.shape).copy()
+    w0 = b_stack if cfg.start is None else _start_stack(cfg, b_stack.shape)
     return _picard_stack(step, w0, cfg, _omega_derivative(problem, k),
                          _domain(_in_upper_halfplane, k, b_stack, w0), anderson)
 
@@ -690,8 +724,7 @@ def solve_gq_stack(problem: SubordinationProblem, q_stack: np.ndarray,
     if cfg.start is None:
         v0 = np.broadcast_to(np.eye(d), u_stack.shape) + q_stack
     else:
-        v0 = np.broadcast_to(np.asarray(cfg.start, dtype=complex), u_stack.shape)
-    v0 = np.array(v0, dtype=complex)
+        v0 = _start_stack(cfg, u_stack.shape)
     points = (q_stack, u_stack, v0)
     q, u, start = (split(x, k) for x in points)
     mirrored = all(_selfadjoint(x) for x in (q, u, start))

@@ -46,6 +46,7 @@ from freeconv.serialize import (
 from freeconv.transforms import DENSITY_CONFIG, semicircle_problem
 
 from _oracles import arcsine2_g, bernoulli_r
+from helpers import random_hermitian
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +216,28 @@ def test_problems_take_eta_or_beta_not_both():
     with pytest.raises(ValueError, match="beta"):
         SubordinationProblem(model=prob.model, alpha=CPMap.scaled_identity(2.0, 2),
                              beta=prob.beta, variant="power")
+
+
+def test_replace_on_a_beta_problem_builds_it_anew():
+    rng = np.random.default_rng(28)
+    prob = _semicircle_matrix_problem(rng, 2, 3)
+    a = random_hermitian(rng, 2, scale=0.5)
+    shifted = replace(prob, a=a)
+    fresh = SubordinationProblem(model=prob.model, beta=prob.beta, a=a)
+    assert shifted.beta is prob.beta and np.array_equal(shifted.a, a)
+    assert _same_kraus(shifted.eta, fresh.eta) and _same_kraus(shifted.eta, prob.eta)
+    want, got = solve_omega_stack(fresh, _points(2)), solve_omega_stack(shifted, _points(2))
+    assert want.converged.all()
+    assert all(np.array_equal(x, y) for x, y in zip(want, got))
+    # a new beta derives a new eta; an eta given with beta is still refused
+    half = CPMap.from_kraus([K / np.sqrt(2.0) for K in prob.beta.kraus])
+    assert _same_kraus(replace(prob, beta=half).eta,
+                       SubordinationProblem(model=prob.model, beta=half).eta)
+    other = _semicircle_matrix_problem(rng, 2, 3)
+    with pytest.raises(ValueError, match="not both"):
+        SubordinationProblem(model=prob.model, eta=other.eta, beta=prob.beta)
+    with pytest.raises(ValueError, match="not both"):
+        replace(prob, eta=other.eta)
 
 
 @pytest.mark.parametrize("keys", [("eta", "beta"), ()], ids=["both", "neither"])

@@ -169,6 +169,24 @@ def test_empty_stacks_return_at_once():
     assert _picard_stack(step, empty, SolverConfig(), anderson=True).value.shape == (0, 1, 1)
 
 
+def test_a_start_that_does_not_broadcast_names_start_and_the_shape():
+    rng = np.random.default_rng(12)
+    prob = random_problem(rng, n=2, m=2)
+    b = np.stack([random_upper(rng, 2) for _ in range(3)])
+    q = np.broadcast_to(0.1 * np.eye(2), b.shape)
+    u = np.stack([random_hermitian(rng, 2) for _ in range(3)])
+    message = r"start has shape \(2, 2, 2\), .* stack's shape \(3, 2, 2\)"
+    bad = SolverConfig(start=np.stack([np.eye(2)] * 2))
+    with pytest.raises(ValueError, match=message):
+        solve_omega_stack(prob, b, bad)
+    with pytest.raises(ValueError, match=message):
+        solve_gq_stack(prob, q, u, bad)
+    # one point, or one per entry, is a start
+    for start in (b[0], b + 0.1j):
+        assert solve_omega_stack(prob, b, SolverConfig(start=start)).converged.all()
+    assert solve_gq_stack(prob, q, u, SolverConfig(start=np.eye(2))).converged.all()
+
+
 def test_non_convergence_is_reported_not_raised():
     prob = point_gamma_problem()
     rep = solve_omega(prob, np.array([[2j]]), SolverConfig(max_iter=2))

@@ -20,7 +20,7 @@ from freeconv import (
     semicircular_convolve_g,
 )
 from freeconv.algebra import direct_sum, imag_part
-from freeconv.transforms import ConvolutionPower, DensityGrid, semicircle_problem
+from freeconv.transforms import DENSITY_CONFIG, ConvolutionPower, DensityGrid, semicircle_problem
 
 from _oracles import (
     arcsine2_density,
@@ -353,6 +353,61 @@ def test_density_grid_callable_source_records_failures():
     assert np.isfinite(grid.mass())
     with pytest.raises(TypeError, match="function"):
         density_grid(lambda z: np.array([[1.0 / z]]), us, (1e-2, 5e-3))
+
+
+class _RecordingStarts:
+    """A source that keeps the points, cfg.start and record of each
+    cauchy_stack call."""
+
+    def __init__(self, source):
+        self.source, self.base_dim, self.calls = source, source.base_dim, []
+
+    def cauchy_stack(self, b_stack, level=1, cfg=None, anderson=False):
+        solve = self.source.cauchy_stack(b_stack, level, cfg, anderson)
+        self.calls.append((b_stack, cfg.start, solve))
+        return solve
+
+
+def test_density_sheets_start_from_the_fixed_points_of_the_sheet_above():
+    prob = semicircle_problem(point_model(), CPMap.scaled_identity(1.0, 1))
+    source = _RecordingStarts(prob)
+    # 12 steps leave most entries of the first sheet unconverged
+    density_grid(source, np.linspace(-2.5, 2.5, 41), (2e-2, 1e-2),
+                 SolverConfig(damping=0.5, max_iter=12))
+    (_, first, above), (b, start, _) = source.calls
+    ok = above.converged
+    assert first is None and ok.any() and not ok.all()
+    assert np.array_equal(start[ok], above.omega[ok])
+    assert np.array_equal(start[~ok], b[~ok])
+    assert above._replace(value=b).omega is above.omega
+
+
+@pytest.mark.parametrize("source", [point_model(), _LeftHalfFails()],
+                         ids=["model", "record-without-omega"])
+def test_density_sheets_of_sources_without_omega_start_cold(source):
+    recording = _RecordingStarts(source)
+    density_grid(recording, np.linspace(-1.0, 1.0, 5), (1e-2, 5e-3, 2e-3))
+    assert [start for _, start, _ in recording.calls] == [None, None, None]
+
+
+def test_continued_sheets_match_cold_solves_in_fewer_steps():
+    prob = random_problem(np.random.default_rng(3), n=2, m=2)
+    us = np.linspace(-3.0, 3.0, 41)
+    eps = (2e-2, 1e-2, 5e-3)
+    source = _RecordingStarts(prob)
+    grid = density_grid(source, us, eps)
+    assert not grid.failures
+    cold_steps = 0
+    for l, e in enumerate(eps):
+        cold = prob.cauchy_stack((us[:, None, None] + 1j * e) * np.eye(2), 1,
+                                 DENSITY_CONFIG, anderson=True)
+        assert cold.converged.all()
+        raw = -np.imag(np.trace(cold.value, axis1=-2, axis2=-1) / 2) / np.pi
+        assert np.max(np.abs(grid.raw[:, l] - raw)) <= 1e-10
+        if l == 0:      # the first sheet is solved cold
+            assert np.array_equal(grid.raw[:, l], raw)
+        cold_steps += cold.iterations.sum()
+    assert sum(solve.iterations.sum() for _, _, solve in source.calls) < cold_steps
 
 
 def test_density_grid_model_source():
