@@ -36,11 +36,13 @@ reached.  Other solves take plain damped Picard steps: on single points and
 small stacks the mixing's bookkeeping costs more than the steps it saves,
 and near a spectral edge its iterate is less accurate at the same residual.
 
-The auxiliary map g_q(u, v) = q + Im h(u + iv), with h the generic
-nonlinearity, has for each selfadjoint u and positive q a unique positive
-fixed point v_q(u); the graph of v_q over u = Re omega(r + iq) recovers
-Im omega(r + iq).  Phi_q(w) = w - a - Re h(w + i v_q(w)) is the associated
-right inverse of r -> Re omega(r + iq) on the real axis.
+The auxiliary map g_q(u, v) = q + Im h(u + iv), with h the nonlinearity of
+either variant, has for each selfadjoint u and positive q a unique positive
+fixed point v_q(u), and w = u + iv solves the fixed-point equation at a b
+with Im b = q exactly when v = g_q(u, v).  So the graph of v_q over
+u = Re omega(r + iq) recovers Im omega(r + iq), and Phi_q(w) = w - a -
+Re h(w + i v_q(w)) (a = 0 for a power) is the associated right inverse of
+r -> Re omega(r + iq) on the real axis.
 """
 
 from __future__ import annotations
@@ -89,12 +91,13 @@ class SolverConfig:
     Convergence is declared on the residual of the fixed-point equation, not
     on step size.  start, when given, replaces the default initial point (b
     itself for subordination solves, q + 1 for v_q solves); it is one point
-    for every entry or a stack of per-entry starts, and must broadcast to the
-    stack's shape (ValueError otherwise).  Density sheets pass the fixed
-    points of the sheet above as per-entry starts.  Both solves on
-    a d x d point switch from Picard to Newton steps after 6 (9 + d^4/32)
-    steps without converging (54 at d = 1 and 2, 66 at d = 3); max_iter
-    counts both kinds of step, and damping applies to the Picard steps only.
+    for every entry or a stack of per-entry starts, which must broadcast to
+    the stack's shape and lie in the solve's half-plane (ValueError
+    otherwise).  Density sheets pass the fixed points of the sheet above as
+    per-entry starts.  Both solves on a d x d point switch from Picard to
+    Newton steps after 6 (9 + d^4/32) steps without converging (54 at d = 1
+    and 2, 66 at d = 3); max_iter counts both kinds of step, and damping
+    applies to the Picard steps only.
     """
 
     tol: float = 1e-12
@@ -138,8 +141,9 @@ class ConvergenceError(RuntimeError):
 
 class SolveStack(NamedTuple):
     """One batched solve, entry by entry: the final iterates, the steps
-    taken (max_iter where unconverged), the final residual in spectral norm
-    and the converged flag."""
+    taken (max_iter where unconverged, or the step that was not finite),
+    the final residual in spectral norm (inf after a step that was not
+    finite) and the converged flag."""
 
     value: np.ndarray
     iterations: np.ndarray
@@ -449,8 +453,10 @@ def _picard_stack(step: Callable[[np.ndarray, np.ndarray], np.ndarray],
     """Solve w = step(w) entrywise on a batch.
 
     The result is one SolveStack record: per entry the final iterate, the
-    steps taken (max_iter where unconverged), the final residual and the
-    converged flag.  It unpacks as (w, iterations, residual, converged);
+    steps taken (max_iter where it ran out of steps), the final residual and
+    the converged flag; an entry whose step is not finite stops there, with
+    its last finite iterate and an infinite residual.  It unpacks as
+    (w, iterations, residual, converged);
     report(i) gives entry i as a SolveReport, and require(message) returns
     the values or raises ConvergenceError with the first unconverged entry.
 
@@ -497,14 +503,13 @@ def _picard_stack(step: Callable[[np.ndarray, np.ndarray], np.ndarray],
         fw = step(wa, active)
         diff = fw - wa
         res2 = np.sum(diff.real ** 2 + diff.imag ** 2, axis=(-2, -1))
-        done = res2 <= tol2
-        if done.any():
-            sel = active[done]
-            iterations[sel] = it
-            residual[sel] = opnorm_stack(diff[done])
-            converged[sel] = True
-            w[sel] = wa[done]
-            rest = ~done
+        rest = (res2 > tol2) & (res2 < np.inf)   # neither converged nor failed
+        if not rest.all():
+            done, stop = res2 <= tol2, ~rest
+            iterations[active[stop]] = it
+            residual[active[done]] = opnorm_stack(diff[done])
+            converged[active[done]] = True
+            w[active[stop]] = wa[stop]
             active, wa, fw, diff, res2, before = (
                 x[rest] for x in (active, wa, fw, diff, res2, before))
             if active.size == 0:
@@ -569,14 +574,25 @@ def _omega_derivative(problem: SubordinationProblem, level: int):
     return derivative
 
 
-def _start_stack(cfg: SolverConfig, shape: tuple[int, ...]) -> np.ndarray:
-    """cfg.start broadcast to a stack of the given shape, as a new array."""
+def _start_stack(cfg: SolverConfig, default: np.ndarray, domain: Callable):
+    """The first iterate of a solve and its admissible test domain(start):
+    the default start, or cfg.start broadcast to its shape as a new array,
+    whose entries must each pass the test, since a start outside the
+    half-plane can reach a fixed point outside it (a ValueError names the
+    shapes or the entries)."""
+    if cfg.start is None:
+        return default, domain(default)
     start = np.asarray(cfg.start, dtype=complex)
     try:
-        return np.broadcast_to(start, shape).copy()
+        start = np.broadcast_to(start, default.shape).copy()
     except ValueError:
         raise ValueError(f"start has shape {start.shape}, which does not broadcast "
-                         f"to the stack's shape {shape}") from None
+                         f"to the stack's shape {default.shape}") from None
+    admissible = domain(start)
+    bad = np.flatnonzero(~admissible(start))
+    if bad.size:
+        raise ValueError(f"start lies outside the solve's half-plane at entries {bad.tolist()}")
+    return start, admissible
 
 
 def solve_omega_stack(problem: SubordinationProblem, b_stack: np.ndarray,
@@ -586,10 +602,10 @@ def solve_omega_stack(problem: SubordinationProblem, b_stack: np.ndarray,
     anderson mixes the steps (see _picard_stack)."""
     b_stack = np.asarray(b_stack, dtype=complex)
     k = amplification_level(b_stack, problem.base_dim) if level is None else level
-    step = _omega_step(problem, b_stack, k)
-    w0 = b_stack if cfg.start is None else _start_stack(cfg, b_stack.shape)
-    return _picard_stack(step, w0, cfg, _omega_derivative(problem, k),
-                         _domain(_in_upper_halfplane, k, b_stack, w0), anderson)
+    w0, admissible = _start_stack(
+        cfg, b_stack, lambda w0: _domain(_in_upper_halfplane, k, b_stack, w0))
+    return _picard_stack(_omega_step(problem, b_stack, k), w0, cfg,
+                         _omega_derivative(problem, k), admissible, anderson)
 
 
 def solve_omega(problem: SubordinationProblem, b,
@@ -620,15 +636,9 @@ def residual_h(problem: SubordinationProblem, w, b) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _require_generic(problem: SubordinationProblem, op: str) -> None:
-    if problem.variant != "generic":
-        raise ValueError(f"{op} requires a generic-variant problem with an explicit eta map")
-
-
-def _vq_arguments(problem: SubordinationProblem, q, u) -> tuple[np.ndarray, np.ndarray]:
-    """q and u as arrays, or ValueError unless the problem is generic, q is
-    strictly positive, u is selfadjoint and both have one shape."""
-    _require_generic(problem, "solve_vq")
+def _vq_arguments(q, u) -> tuple[np.ndarray, np.ndarray]:
+    """q and u as arrays, or ValueError unless q is strictly positive, u is
+    selfadjoint and both have one shape."""
     q = require_hermitian(q, name="q")
     if not is_strictly_positive(q, POSITIVITY_TOL):
         raise ValueError("q must be strictly positive")
@@ -648,12 +658,11 @@ def _selfadjoint(x) -> bool:
 
 
 def g_q(problem: SubordinationProblem, q, u, v, level: int = 1):
-    """g_q(u, v) = q + eta[((X - u) v^{-1} (X - u) + v)^{-1}] at level k,
-    batched over leading axes of u and v.
+    """g_q(u, v) = q + (h(u + iv) - h(u - iv))/2i at level k, batched over
+    leading axes of u and v, with h the nonlinearity of either variant.
 
-    (X - u + iv) v^{-1} (X - u - iv) = (X - u) v^{-1} (X - u) + v, so g_q =
-    q + (h(u + iv) - h(u - iv))/2i, and h(u - iv) = dag(h(u + iv)) when u and
-    v equal their dag, as in v_q solves and their amplifications.
+    h(u - iv) = dag(h(u + iv)) when u and v equal their dag, as in v_q solves
+    and their amplifications, so that g_q is q + Im h(u + iv).
     """
     return _g_q(problem, q, u, v, level, _selfadjoint(u) and _selfadjoint(v))
 
@@ -708,7 +717,8 @@ def _gq_jacobians(problem: SubordinationProblem, u: np.ndarray, v: np.ndarray,
 def solve_gq_stack(problem: SubordinationProblem, q_stack: np.ndarray,
                    u_stack: np.ndarray, cfg: SolverConfig = DEFAULT_CONFIG,
                    level: int | None = None) -> SolveStack:
-    """Batched v_q solves; u entries may be non-selfadjoint amplifications.
+    """Batched v_q solves for a problem of either variant; u entries may be
+    non-selfadjoint amplifications.
 
     When q, u and the start are selfadjoint, so is every iterate, and each
     step takes h(u - iv) as dag(h(u + iv)): one h_map call.  That is tested
@@ -716,15 +726,12 @@ def solve_gq_stack(problem: SubordinationProblem, q_stack: np.ndarray,
     and on the dense points for the Newton derivatives, which mirror through
     the transpose on vec.
     """
-    _require_generic(problem, "solve_vq")
     q_stack = np.asarray(q_stack, dtype=complex)
     u_stack = np.asarray(u_stack, dtype=complex)
     k = amplification_level(u_stack, problem.base_dim) if level is None else level
-    d = u_stack.shape[-1]
-    if cfg.start is None:
-        v0 = np.broadcast_to(np.eye(d), u_stack.shape) + q_stack
-    else:
-        v0 = _start_stack(cfg, u_stack.shape)
+    v0, admissible = _start_stack(
+        cfg, np.broadcast_to(np.eye(u_stack.shape[-1]), u_stack.shape) + q_stack,
+        lambda v0: _domain(_in_right_halfplane, k, q_stack, u_stack, v0))
     points = (q_stack, u_stack, v0)
     q, u, start = (split(x, k) for x in points)
     mirrored = all(_selfadjoint(x) for x in (q, u, start))
@@ -732,7 +739,7 @@ def solve_gq_stack(problem: SubordinationProblem, q_stack: np.ndarray,
     return _picard_stack(_gq_step(problem, q, u, k, mirrored), v0, cfg,
                          lambda v, idx: _gq_jacobians(problem, u_stack[idx], v, k,
                                                       dense_mirrored)[0],
-                         _domain(_in_right_halfplane, k, q_stack, u_stack, v0))
+                         admissible)
 
 
 def solve_vq(problem: SubordinationProblem, q, u,
@@ -748,7 +755,7 @@ def solve_vq(problem: SubordinationProblem, q, u,
     in 56-58 steps (Picard alone: 2 303 steps at q = 1e-2, about 183 000 at
     q = 1e-4).
     """
-    q, u = _vq_arguments(problem, q, u)
+    q, u = _vq_arguments(q, u)
     return solve_gq_stack(problem, q[None], u[None], cfg).report(0)
 
 
@@ -756,10 +763,10 @@ def phi_q(problem: SubordinationProblem, q, w,
           cfg: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Right inverse of the boundary curve r -> Re omega(r + iq).
 
-    Phi_q(w) = w - a - Re h(w + iv) with v = v_q(w) and h the problem's
-    nonlinearity; applied to w = Re omega(u + iq) it returns u.
+    Phi_q(w) = w - a - Re h(w + iv) with v = v_q(w), h the problem's
+    nonlinearity and a its shift (0 for a power problem); applied to
+    w = Re omega(u + iq) it returns u.
     """
-    _require_generic(problem, "phi_q")
     w = require_hermitian(w, name="w")
     v = solve_vq(problem, q, w, cfg).require("v_q solve did not converge inside phi_q")
-    return w - problem.a - real_part(problem.h_map(w + 1j * v))
+    return w - problem.shift() - real_part(problem.h_map(w + 1j * v))

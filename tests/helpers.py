@@ -46,6 +46,14 @@ def random_problem(rng, n: int | None = None, m: int | None = None,
     return SubordinationProblem.generic(model, eta, a)
 
 
+def random_power_problem(rng, n: int, m: int, strength: float = 0.8) -> SubordinationProblem:
+    """Convolution power with alpha = Id + sum_j K_j x K_j*, the K_j those of
+    random_eta on B, so that alpha - Id is completely positive."""
+    kraus = random_eta(rng, n, n, strength=strength).kraus
+    return SubordinationProblem.power(random_model(rng, n, m),
+                                      CPMap.from_kraus([np.eye(n), *kraus]))
+
+
 def random_upper(rng, d: int, margin: float = 0.1, spread: float = 0.7) -> np.ndarray:
     """Point of M_d with Im >= margin strictly (margin * I plus a PSD part)."""
     re = random_hermitian(rng, d, scale=spread)

@@ -21,7 +21,7 @@ from freeconv.subordination import (
 from freeconv.transforms import semicircle_problem
 
 from _oracles import point_vq_at_zero
-from helpers import random_hermitian, random_problem
+from helpers import random_hermitian, random_power_problem, random_problem
 
 
 def test_newton_budget_is_monotone_and_keeps_the_pinned_values():
@@ -67,14 +67,15 @@ def test_undamped_vq_near_the_boundary_takes_newton_steps(q):
 
 @settings(max_examples=10, deadline=None, database=None)
 @given(n=st.integers(1, 2), m=st.integers(1, 3), log_q=st.floats(1.0, 4.0),
-       seed=st.integers(0, 2**32 - 1))
-@example(n=1, m=1, log_q=3.5, seed=4)
-@example(n=2, m=1, log_q=2.5, seed=4)
-def test_vq_graph_identity(n, m, log_q, seed):
-    # Im omega(r + iq) = v_q(Re omega(r + iq)); at small q the v_q solve
-    # often passes its Newton budget
+       seed=st.integers(0, 2**32 - 1), power=st.booleans())
+@example(n=1, m=1, log_q=3.5, seed=4, power=False)
+@example(n=2, m=1, log_q=2.5, seed=4, power=False)
+@example(n=2, m=2, log_q=3.5, seed=4, power=True)
+def test_vq_graph_identity(n, m, log_q, seed, power):
+    # Im omega(r + iq) = v_q(Re omega(r + iq)) for both variants; at small q
+    # the v_q solve often passes its Newton budget
     rng = np.random.default_rng(seed)
-    prob = random_problem(rng, n=n, m=m)
+    prob = (random_power_problem if power else random_problem)(rng, n=n, m=m)
     q = 10.0 ** -log_q * np.eye(n)
     r = random_hermitian(rng, n)
     omega = solve_omega(prob, r + 1j * q).require("omega solve did not converge")

@@ -30,7 +30,8 @@ from freeconv.algebra import (
 from freeconv.subordination import _omega_derivative, _picard_stack, g_q, solve_gq_stack
 from freeconv.transforms import ConvolutionPower, semicircle_problem
 
-from _oracles import arcsine2_g, point_gamma_omega, point_vq_at_zero, semicircle_g
+from _oracles import (arcsine2_density, arcsine2_g, point_gamma_omega, point_vq_at_zero,
+                      semicircle_g)
 from helpers import random_hermitian, random_model, random_problem, random_psd, random_upper
 
 
@@ -185,6 +186,51 @@ def test_a_start_that_does_not_broadcast_names_start_and_the_shape():
     for start in (b[0], b + 0.1j):
         assert solve_omega_stack(prob, b, SolverConfig(start=start)).converged.all()
     assert solve_gq_stack(prob, q, u, SolverConfig(start=np.eye(2))).converged.all()
+
+
+def test_a_start_outside_the_half_plane_names_its_entries():
+    # point mass plus semicircle at b = i: omega = b - 1/omega has the roots
+    # 1.618i and -0.618i; Picard from the lower root stays there, and from
+    # -0.5i it steps to 0 and then to NaN
+    prob = point_gamma_problem()
+    b = np.array([[[1j]], [[2j]], [[1j]]])
+    outside = r"outside the solve's half-plane at entries \[0, 1, 2\]"
+    for start in (-0.618j, -0.5j, 0.0):
+        with pytest.raises(ValueError, match=outside):
+            solve_omega_stack(prob, b, SolverConfig(start=np.array([[start]])))
+    with pytest.raises(ValueError, match=r"at entries \[1, 2\]"):
+        solve_omega_stack(prob, b, SolverConfig(start=np.array([[[1j]], [[-1j]], [[np.nan]]])))
+    q = np.full((3, 1, 1), 0.1)
+    with pytest.raises(ValueError, match=r"at entries \[2\]"):
+        solve_gq_stack(prob, q, np.zeros((3, 1, 1)),
+                       SolverConfig(start=np.array([[[1.0]], [[0.5]], [[-0.5]]])))
+    # a block upper triangular start is tested on its diagonal blocks, so a
+    # corner of any size is admissible, and a lower diagonal block is not
+    top = upper_block(np.array([[1j]]), np.array([[1.0]]), np.array([[2j]]))[None]
+    corner = upper_block(np.array([[0.5j]]), np.array([[40.0]]), np.array([[0.5j]]))
+    assert solve_omega_stack(prob, top, SolverConfig(start=corner)).converged.all()
+    with pytest.raises(ValueError, match=r"at entries \[0\]"):
+        solve_omega_stack(prob, top, SolverConfig(start=corner - 1j * np.diag([0.0, 1.0])))
+    assert solve_omega_stack(prob, b, SolverConfig(start=np.array([[0.5j]]))).converged.all()
+
+
+def test_an_entry_whose_step_is_not_finite_stops_unconverged():
+    # entry 1 of this contraction turns NaN at its third step; entry 0 goes on
+    calls = []
+
+    def step(w, idx):
+        calls.append(idx.copy())
+        out = 0.5 * w
+        if len(calls) == 3:
+            out[idx == 1] = np.nan
+        return out
+
+    w0 = np.array([[[1.0 + 1j]], [[2.0 + 2j]]])
+    out = _picard_stack(step, w0, SolverConfig(tol=1e-6))
+    assert out.converged.tolist() == [True, False]
+    assert out.iterations[1] == 3 and out.residual[1] == np.inf
+    assert out.value[1, 0, 0] == (2.0 + 2j) / 4   # its last finite iterate
+    assert out.iterations[0] > 3 and all(idx.tolist() == [0] for idx in calls[3:])
 
 
 def test_non_convergence_is_reported_not_raised():
@@ -454,12 +500,17 @@ def test_vq_validation():
         solve_vq(prob, np.array([[-0.1]]), np.array([[0.0]]))
     with pytest.raises(ValueError, match="matching shapes"):
         solve_vq(prob, np.array([[0.1]]), np.zeros((2, 2)))
+    # a power problem takes the same route: Bernoulli boxplus 2 is the
+    # arcsine law, whose density at x = Phi_q(u) is -Im G_mu(u + i v_q(u))/pi
     model = scalar_to_model(ScalarMeasure.symmetric_bernoulli())
     power = SubordinationProblem.power(model, CPMap.scaled_identity(2.0, 1))
-    with pytest.raises(ValueError, match="generic-variant"):
-        solve_vq(power, np.array([[0.1]]), np.array([[0.0]]))
-    with pytest.raises(ValueError, match="generic-variant"):
-        phi_q(power, np.array([[0.1]]), np.array([[0.0]]))
+    q = np.array([[1e-8]])
+    for u in np.linspace(-0.95, 0.95, 39):
+        rep = solve_vq(power, q, np.array([[u]]))
+        assert rep.converged and rep.iterations <= 100
+        x = phi_q(power, q, np.array([[u]]))[0, 0].real
+        density = -model.cauchy(u + 1j * rep.value)[0, 0].imag / np.pi
+        assert abs(density / arcsine2_density(x) - 1.0) <= 1e-12
 
 
 def test_graph_property_links_vq_to_omega():
