@@ -1,9 +1,9 @@
 """Numerics for operator-valued free convolutions.
 
-Subordination fixed points over a matrix base algebra, Cauchy-transform
-evaluators for semicircular convolutions and convolution powers, spectral
-density recovery, derivative-spectrum certificates, boundary probes, and a
-random-matrix validation harness.
+Subordination fixed points over a matrix base algebra, Cauchy transforms
+of semicircular convolutions and convolution powers (each one subordination
+problem), spectral density recovery, derivative-spectrum certificates,
+boundary probes, and a random-matrix validation harness.
 """
 
 __version__ = "0.1.0"

@@ -248,6 +248,14 @@ class SubordinationProblem:
     def base_dim(self) -> int:
         return self.model.base_dim
 
+    def norm_bound(self) -> float:
+        """A bound on the norm of the convolution's element: a generic problem
+        is X + a plus a semicircular of covariance eta, of norm at most
+        2 ||eta(1)||^(1/2); a power problem is bounded by ||X|| (1 + ||alpha(1)||)."""
+        if self.variant == "power":
+            return self.model.norm_bound() * (1.0 + self.alpha.norm_bound())
+        return self.model.norm_bound() + opnorm(self.a) + 2.0 * np.sqrt(self.eta.norm_bound())
+
     def cauchy_stack(self, b_stack: np.ndarray, level: int = 1,
                      cfg: SolverConfig = DEFAULT_CONFIG, anderson: bool = False) -> CauchyStack:
         """The record of a batched solve, with G(b) = G_X(omega(b)) as its
@@ -764,9 +772,10 @@ def phi_q(problem: SubordinationProblem, q, w,
     """Right inverse of the boundary curve r -> Re omega(r + iq).
 
     Phi_q(w) = w - a - Re h(w + iv) with v = v_q(w), h the problem's
-    nonlinearity and a its shift (0 for a power problem); applied to
-    w = Re omega(u + iq) it returns u.
+    nonlinearity and a its shift (0 for a power problem), both at the level
+    of w; applied to w = Re omega(u + iq) it returns u.
     """
     w = require_hermitian(w, name="w")
     v = solve_vq(problem, q, w, cfg).require("v_q solve did not converge inside phi_q")
-    return w - problem.shift() - real_part(problem.h_map(w + 1j * v))
+    level = amplification_level(w, problem.base_dim)
+    return w - problem.shift(level) - real_part(problem.h_map(w + 1j * v, level))

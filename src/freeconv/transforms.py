@@ -6,12 +6,13 @@ spectral-density recovery on grids near the real axis.
 
 A Cauchy source is anything with ``base_dim`` and
 ``cauchy_stack(b_stack, level, cfg, anderson=False) -> SolveStack``, the
-record of the source's solve with G as its value: an OperatorModel (a record
-of zero steps, since a model solves nothing), a SubordinationProblem
-(G(b) = G_X(omega(b))), and the SemicircularConvolution and ConvolutionPower
-wrappers, which delegate to their subordination problem.  A source that
-solves a fixed point returns a CauchyStack, whose omega holds the fixed
-points, and starts its solve from cfg.start when that is given.  anderson
+record of the source's solve with G as its value: a model (an OperatorModel,
+whose record has zero steps, since a model solves nothing), a problem (a
+SubordinationProblem, G(b) = G_X(omega(b))) or a user source.  The two
+convolutions are problems: SemicircularConvolution is semicircle_problem and
+ConvolutionPower is SubordinationProblem.power.  A source that solves a
+fixed point returns a CauchyStack, whose omega holds the fixed points, and
+starts its solve from cfg.start when that is given.  anderson
 asks such a source to mix its steps (see subordination._picard_stack);
 density sheets ask for it, and a source that solves nothing ignores it.
 Density sheets continue in eps: each sheet after the first starts from the
@@ -21,7 +22,7 @@ sheet cold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .algebra import (
 )
 from .model import OperatorModel, ScalarMeasure
 from .subordination import (
-    CauchyStack,
     DEFAULT_CONFIG,
     SolverConfig,
     SubordinationProblem,
@@ -52,81 +52,26 @@ def _as_cp_map(value, dim: int) -> CPMap:
     return CPMap.scaled_identity(float(value), dim)
 
 
-def semicircle_problem(model: OperatorModel, beta: CPMap) -> SubordinationProblem:
-    """Generic subordination problem for model + semicircular noise of
-    covariance beta: a = 0, and the problem keeps beta, from which it
-    derives eta = beta composed with the conditional expectation (so a
-    problem file stores the n x n Kraus operators of beta, not those of eta)."""
-    return SubordinationProblem(model=model, beta=beta)
+def semicircle_problem(base, beta: CPMap) -> SubordinationProblem:
+    """Generic subordination problem for base plus semicircular noise of
+    covariance beta.  The problem keeps beta, from which it derives eta =
+    beta composed with the conditional expectation (so a problem file stores
+    the n x n Kraus operators of beta, not those of eta).  base is an
+    OperatorModel (a = 0) or a problem that keeps its beta: free semicirculars
+    add their covariances, so that gives one problem over base.model with the
+    Kraus operators of both covariances and the shift of base."""
+    if isinstance(base, SubordinationProblem) and base.beta is not None:
+        summed = CPMap.from_kraus(base.beta.kraus + beta.kraus)
+        return SubordinationProblem(model=base.model, beta=summed, a=base.a)
+    if not isinstance(base, OperatorModel):
+        raise TypeError("semicircular noise is added to an OperatorModel or to a "
+                        f"problem that keeps its beta, not {type(base).__name__}")
+    return SubordinationProblem(model=base, beta=beta)
 
 
-@dataclass(frozen=True)
-class SemicircularConvolution:
-    """Cauchy-transform evaluator for a model plus free semicircular noise.
-
-    Free semicirculars add their covariances, so a semicircular convolution
-    of a semicircular convolution is flattened at construction to one over
-    the inner model, with the Kraus operators of both covariances.  The
-    subordination problem is built once, at construction.
-    """
-
-    base: OperatorModel
-    beta: CPMap
-    _problem: SubordinationProblem = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not isinstance(self.base, (OperatorModel, SemicircularConvolution)):
-            raise TypeError("semicircular noise is added to an OperatorModel, "
-                            f"not {type(self.base).__name__}")
-        if self.beta.in_dim != self.base_dim or self.beta.out_dim != self.base_dim:
-            raise ValueError("covariance must act on B")
-        if isinstance(self.base, SemicircularConvolution):
-            summed = CPMap.from_kraus(self.base.beta.kraus + self.beta.kraus)
-            object.__setattr__(self, "beta", summed)
-            object.__setattr__(self, "base", self.base.base)
-        object.__setattr__(self, "_problem", semicircle_problem(self.base, self.beta))
-
-    @property
-    def base_dim(self) -> int:
-        return self.base.base_dim
-
-    def norm_bound(self) -> float:
-        return self.base.norm_bound() + 2.0 * np.sqrt(self.beta.norm_bound())
-
-    def problem(self) -> SubordinationProblem:
-        return self._problem
-
-    def cauchy_stack(self, b_stack: np.ndarray, level: int = 1,
-                     cfg: SolverConfig = DEFAULT_CONFIG, anderson: bool = False) -> CauchyStack:
-        return self._problem.cauchy_stack(b_stack, level, cfg, anderson)
-
-
-@dataclass(frozen=True)
-class ConvolutionPower:
-    """Cauchy-transform evaluator for a free convolution power of a model;
-    the subordination problem (and its check of alpha - Id) is built once,
-    at construction."""
-
-    base: OperatorModel
-    alpha: CPMap
-    _problem: SubordinationProblem = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_problem", SubordinationProblem.power(self.base, self.alpha))
-
-    @property
-    def base_dim(self) -> int:
-        return self.base.base_dim
-
-    def norm_bound(self) -> float:
-        return self.base.norm_bound() * (1.0 + self.alpha.norm_bound())
-
-    def problem(self) -> SubordinationProblem:
-        return self._problem
-
-    def cauchy_stack(self, b_stack: np.ndarray, level: int = 1,
-                     cfg: SolverConfig = DEFAULT_CONFIG, anderson: bool = False) -> CauchyStack:
-        return self._problem.cauchy_stack(b_stack, level, cfg, anderson)
+# the constructors under the names of the two convolutions of the paper
+SemicircularConvolution = semicircle_problem
+ConvolutionPower = SubordinationProblem.power
 
 
 def _require_source(source) -> None:
@@ -146,10 +91,10 @@ def semicircular_convolve_g(source, beta, b,
                             cfg: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
     """G of source plus a free semicircular element with covariance beta.
 
-    source is an OperatorModel or a SemicircularConvolution; beta may be a
-    CPMap on B or a scalar variance t.
+    source is an OperatorModel or a problem that keeps its beta (see
+    semicircle_problem); beta may be a CPMap on B or a scalar variance t.
     """
-    conv = SemicircularConvolution(source, _as_cp_map(beta, source.base_dim))
+    conv = semicircle_problem(source, _as_cp_map(beta, source.base_dim))
     b = require_halfplane(as_element(b, "b"), "upper", POSITIVITY_TOL, name="b")
     return cauchy_eval(conv, b, cfg)
 
@@ -157,7 +102,7 @@ def semicircular_convolve_g(source, beta, b,
 def convolution_power_g(model: OperatorModel, alpha, b,
                         cfg: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
     """G of the free convolution power of a model, via subordination."""
-    conv = ConvolutionPower(model, _as_cp_map(alpha, model.base_dim))
+    conv = SubordinationProblem.power(model, _as_cp_map(alpha, model.base_dim))
     b = require_halfplane(as_element(b, "b"), "upper", POSITIVITY_TOL, name="b")
     return cauchy_eval(conv, b, cfg)
 
@@ -277,9 +222,8 @@ def density_grid(source, abscissae, epsilons,
                  cfg: SolverConfig | None = None) -> DensityGrid:
     """Evaluate -(1/pi) Im tau(G(u + i eps)) on a grid and extrapolate to eps = 0.
 
-    source may be any Cauchy source: an OperatorModel, a convolution
-    wrapper or a SubordinationProblem.  Entries its record flags as not
-    converged are NaN and listed in failures.
+    source may be any Cauchy source: a model, a problem or a user source.
+    Entries its record flags as not converged are NaN and listed in failures.
     The default solver configuration, DENSITY_CONFIG, uses damping 0.5,
     which keeps the fixed-point iteration contractive arbitrarily close to
     the real axis.  Each sheet is one batched solve per eps with Anderson

@@ -18,6 +18,7 @@ from freeconv import (
     solve_vq,
 )
 from freeconv.algebra import (
+    direct_sum,
     divided_difference,
     identity_kron,
     imag_part,
@@ -249,7 +250,7 @@ def _edge_cases():
                                CPMap.scaled_identity(1.0, 1))
     # alpha = 2: omega + 1/omega = z, the same quadratic as the point mass
     bern = ConvolutionPower(scalar_to_model(ScalarMeasure.symmetric_bernoulli()),
-                            CPMap.scaled_identity(2.0, 1)).problem()
+                            CPMap.scaled_identity(2.0, 1))
     # c 1_2 plus the M_2 semicircle with covariance Id is diagonal along a
     # diagonal approach: each entry is a shifted point-mass problem
     m2 = semicircle_problem(OperatorModel.partial_trace(c * np.eye(2), 2),
@@ -523,6 +524,19 @@ def test_graph_property_links_vq_to_omega():
         w = solve_omega(prob, r + 1j * q * np.eye(n)).value
         v = solve_vq(prob, q * np.eye(n), real_part(w)).value
         assert opnorm(v - imag_part(w)) < 1e-9
+
+
+@pytest.mark.parametrize("problem", [
+    semicircle_problem(scalar_to_model(ScalarMeasure.point(0.0)), CPMap.scaled_identity(1.0, 1)),
+    SubordinationProblem.power(scalar_to_model(ScalarMeasure.symmetric_bernoulli()),
+                               CPMap.scaled_identity(2.0, 1)),
+], ids=["point-semicircle", "bernoulli-power"])
+def test_phi_q_respects_direct_sums(problem):
+    # Phi_q at level 2 on diag(w1, w2) is the direct sum of the two level-1 values
+    q, w1, w2 = 0.1, 0.3, -0.2
+    both = phi_q(problem, q * np.eye(2), np.diag([w1, w2]))
+    parts = [phi_q(problem, np.array([[q]]), np.array([[w]])) for w in (w1, w2)]
+    assert np.max(np.abs(both - direct_sum(*parts))) <= 1e-12
 
 
 def test_phi_q_inverts_the_boundary_curve():

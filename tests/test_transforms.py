@@ -20,6 +20,7 @@ from freeconv import (
     semicircular_convolve_g,
 )
 from freeconv.algebra import direct_sum, imag_part
+from freeconv.serialize import problem_from_json, problem_to_json
 from freeconv.transforms import DENSITY_CONFIG, ConvolutionPower, DensityGrid, semicircle_problem
 
 from _oracles import (
@@ -30,7 +31,7 @@ from _oracles import (
     semicircle_density,
     semicircle_g,
 )
-from helpers import random_model, random_problem, random_upper
+from helpers import random_hermitian, random_model, random_problem, random_psd, random_upper
 
 
 def point_model():
@@ -61,16 +62,13 @@ def test_semicircular_semigroup_through_wrapper():
         G_direct = semicircular_convolve_g(model, 1.3, np.array([[z]]))
         assert abs(G_nested[0, 0] - G_direct[0, 0]) <= 1e-10
     nested = SemicircularConvolution(inner, CPMap.scaled_identity(0.7, 1))
-    assert nested.base is model
+    assert nested.model is model
     problem = semicircle_problem(model, CPMap.scaled_identity(1.0, 1))
-    with pytest.raises(TypeError):
-        semicircular_convolve_g(problem, 0.5, np.array([[2j]]))
+    G = semicircular_convolve_g(problem, 0.5, np.array([[2j]]))
+    assert abs(G[0, 0] - semicircle_g(2j, 1.5)) <= 1e-10
     power = ConvolutionPower(model, CPMap.scaled_identity(2.0, 1))
     with pytest.raises(TypeError):
         SemicircularConvolution(power, CPMap.scaled_identity(0.5, 1))
-    # each wrapper builds its subordination problem once
-    assert nested.problem() is nested.problem()
-    assert power.problem() is power.problem()
 
 
 def test_convolution_power_matches_arcsine():
@@ -250,6 +248,25 @@ def test_matrix_r_transform_inverts_g_and_respects_direct_sums_and_powers(seed, 
     assert np.max(np.abs(R12 - direct_sum(R1, R2))) <= 1e-10
     power = ConvolutionPower(model, CPMap.scaled_identity(t, 2))
     assert np.max(np.abs(r_transform_eval(power, g1) - t * R1)) <= 1e-8
+
+
+def test_r_transforms_of_problems_add_the_covariance_and_scale_under_powers():
+    # operator-valued R-additivity: free semicircular noise of covariance beta adds beta to R
+    rng = np.random.default_rng(21)
+    model = random_model(rng, 2, 2)
+    beta = CPMap.from_kraus([0.6 * random_hermitian(rng, 2), 0.4 * random_psd(rng, 2)])
+    one = beta.apply(np.eye(2))
+    assert np.max(np.abs(one - one[0, 0] * np.eye(2))) > 1e-3     # beta is not scalar
+    b = random_upper(rng, 2)
+    g = 0.04 * b.conj().T / np.linalg.norm(b, 2)
+    R_model = r_transform_eval(model, g)
+    gap = r_transform_eval(semicircle_problem(model, beta), g) - R_model
+    assert np.max(np.abs(gap - beta.apply(g))) <= 1e-10
+    # a power problem read back from its file keeps its norm bound: R becomes t R
+    t = 2.5
+    data = problem_to_json(SubordinationProblem.power(model, CPMap.scaled_identity(t, 2)))
+    power, _ = problem_from_json(data)
+    assert np.max(np.abs(r_transform_eval(power, g) - t * R_model)) <= 1e-8
 
 
 def test_biane_curve_point_mass():
