@@ -11,8 +11,9 @@ shape out x in.  It is applied by whichever of two kernels costs less per
 point: the loop x -> sum_j K_j x K_j*, about m*out*in*(in + out) flops, or
 one product with the cached natural matrix S = sum_j K_j (x) conj(K_j),
 out^2 * in^2 flops.  S is used when out*in < m*(in + out); the same rule
-keeps S within (in + out) times the storage of the Kraus operators.  At
-level k > 1 both kernels act on the k x k blocks of the input.
+keeps S within (in + out) times the storage of the Kraus operators.  Both
+map level-1 points, one product per point, so no entry of a stack rounds
+with its neighbours; a level-k input is mapped as the stack of its blocks.
 
 Derivatives are read off 2x2 block upper triangular points
 [[w1, c], [0, w2]] (divided_difference), held as a BlockUpper: the three
@@ -390,13 +391,12 @@ class CPMap:
     """Completely positive map x -> sum_j K_j x K_j* given by Kraus operators.
 
     Kraus operators are (out_dim, in_dim) matrices; maps into B from a larger
-    ambient algebra are the kraus_to_B kind.  Application at amplification
-    level k acts on each of the k x k blocks of the input, as the operators
-    1_k otimes K_j would, without forming them.  It multiplies by the scale
+    ambient algebra are the kraus_to_B kind.  It multiplies by the scale
     for a scaled identity, contracts with the natural matrix when
     out*in < m*(in + out) for m operators (many operators, or a 1x1 map),
     and loops over the Kraus operators otherwise (a few operators on M_n,
-    n >= 2).  Both kernels keep a zero block of the input zero in the output.
+    n >= 2), one product per point in both.  At level k the input is the
+    stack of its k x k blocks, as for the operators 1_k otimes K_j.
     """
 
     kraus: tuple[np.ndarray, ...]
@@ -417,6 +417,8 @@ class CPMap:
                 raise ValueError(
                     f"Kraus operator shape {K.shape} does not match "
                     f"({self.out_dim}, {self.in_dim})")
+            if not np.all(np.isfinite(K)):
+                raise ValueError("Kraus operators must have finite entries")
 
     @classmethod
     def scaled_identity(cls, scale: float, dim: int) -> "CPMap":
@@ -471,29 +473,19 @@ class CPMap:
                 f"at level {level}")
         if self.kind == "scaled_identity":
             return self.scale * x
-        batch = x.shape[:-2]
+        k, batch = level, x.shape[:-2]
+        if k > 1:       # the (..., k, k, in, in) stack of blocks, mapped at level 1
+            x = np.swapaxes(x.reshape(batch + (k, i, k, i)), -3, -2)
         if o * i < len(self.kraus) * (i + o):
-            if level == 1:
-                return (x.reshape(batch + (i * i,)) @ self.natural.T).reshape(batch + (o, o))
-            k = level
-            blocks = np.swapaxes(x.reshape(batch + (k, i, k, i)), -3, -2)
-            out = blocks.reshape(batch + (k, k, i * i)) @ self.natural.T
-            out = np.swapaxes(out.reshape(batch + (k, k, o, o)), -3, -2)
-            return out.reshape(batch + (k * o, k * o))
-        if level == 1:      # the reshapes below cost more than they save here
+            # one row per point, so that no point's sums depend on its neighbours
+            lead = x.shape[:-2]
+            out = (x.reshape(lead + (1, i * i)) @ self.natural.T).reshape(lead + (o, o))
+        else:
             out = None
             for K, Kh in zip(self.kraus, self._kraus_dag):
                 term = (K @ x) @ Kh
                 out = term if out is None else out + term
-            return out
-        # the block rows (k, in, k*in) times K, then every block column times K*
-        k = level
-        rows = x.reshape(batch + (k, i, k * i))
-        out = None
-        for K, Kh in zip(self.kraus, self._kraus_dag):
-            term = (K @ rows).reshape(-1, i) @ Kh
-            out = term if out is None else out + term
-        return out.reshape(batch + (k * o, k * o))
+        return out if k == 1 else np.swapaxes(out, -3, -2).reshape(batch + (k * o, k * o))
 
     def __call__(self, x: np.ndarray, level: int = 1) -> np.ndarray:
         return self.apply(x, level)

@@ -42,8 +42,8 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in ENSEMBLE_KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
-        if self.t < 0:
-            raise ValueError("t must be nonnegative")
+        if not 0 <= self.t < np.inf:
+            raise ValueError("t must be finite and nonnegative")
         if self.matrix_size < 2:
             raise ValueError("matrix_size must be at least 2")
         if self.samples < 1:

@@ -46,9 +46,9 @@ class ScalarMeasure:
         wts = np.array([a[1] for a in self.atoms], dtype=float)
         if not np.all(np.isfinite(locs)):
             raise ValueError("atom locations must be finite")
-        if np.any(wts < 0):
+        if not np.all(wts >= 0):        # NaN fails both tests
             raise ValueError("atom weights must be nonnegative")
-        if abs(wts.sum() - 1.0) > 1e-12:
+        if not abs(wts.sum() - 1.0) <= 1e-12:
             raise ValueError("atom weights must sum to 1")
 
     @property
@@ -85,7 +85,7 @@ class OperatorModel:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a nonempty vector")
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
+        if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-12):   # NaN fails both
             raise ValueError("weights must be nonnegative and sum to 1")
         object.__setattr__(self, "weights", w)
         if X.shape[0] != n * w.size:
@@ -194,26 +194,12 @@ class OperatorModel:
         """p_j = E(u_j u_j*) for the eigenvectors u_j of X (base_dim 1)."""
         return self.weights @ np.abs(self.spectrum[1]) ** 2
 
-    @cached_property
-    def _amplified_X(self) -> dict:
-        return {}
-
-    def amplified_X(self, level: int) -> np.ndarray:
-        """1_k otimes X, built once per level and kept read-only, since every
-        dense resolvent at that level shares it."""
-        Xk = self._amplified_X.get(level)
-        if Xk is None:
-            Xk = identity_kron(level, self.X).view()   # X itself stays writable
-            Xk.flags.writeable = False
-            self._amplified_X[level] = Xk
-        return Xk
-
     def resolvent(self, b, level: int = 1):
         """(b - X otimes 1_k)^{-1}, batched; block by block for a BlockUpper b."""
         if isinstance(b, BlockUpper):
-            Xh = self.amplified_X(level // 2)
+            Xh = identity_kron(level // 2, self.X)
             return inv(self.embed(b).map_blocks(lambda blk: blk - Xh, lambda c: c), level)
-        return inv(self.embed(b) - self.amplified_X(level), level)
+        return inv(self.embed(b) - identity_kron(level, self.X), level)
 
     def cauchy(self, b, level: int = 1):
         """(E otimes Id_k)[(b - X otimes 1_k)^{-1}]; a scalar base sums over

@@ -108,8 +108,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.tol > 0):
             raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
         if not (0.0 <= self.damping < 1.0):
             raise ValueError("damping must lie in [0, 1)")
 
@@ -582,6 +582,21 @@ def _omega_derivative(problem: SubordinationProblem, level: int):
     return derivative
 
 
+def _stacks(**stacks) -> list[np.ndarray]:
+    """The named stacks as complex arrays; a ValueError names the shapes
+    unless they share one shape (B, d, d), or the entries that are not finite."""
+    arrays = [np.asarray(x, dtype=complex) for x in stacks.values()]
+    shape = arrays[0].shape
+    if len(shape) != 3 or shape[1] != shape[2] or any(a.shape != shape for a in arrays):
+        shapes = ", ".join(f"{name} {a.shape}" for name, a in zip(stacks, arrays))
+        raise ValueError(f"stacks must share one shape (B, d, d), got {shapes}")
+    for name, a in zip(stacks, arrays):
+        bad = np.flatnonzero(~np.isfinite(a).all(axis=(-2, -1)))
+        if bad.size:
+            raise ValueError(f"{name} has entries that are not finite: {bad.tolist()}")
+    return arrays
+
+
 def _start_stack(cfg: SolverConfig, default: np.ndarray, domain: Callable):
     """The first iterate of a solve and its admissible test domain(start):
     the default start, or cfg.start broadcast to its shape as a new array,
@@ -606,9 +621,9 @@ def _start_stack(cfg: SolverConfig, default: np.ndarray, domain: Callable):
 def solve_omega_stack(problem: SubordinationProblem, b_stack: np.ndarray,
                       cfg: SolverConfig = DEFAULT_CONFIG,
                       level: int | None = None, anderson: bool = False) -> SolveStack:
-    """Batched solve over a stack of upper half-plane points (shared level);
-    anderson mixes the steps (see _picard_stack)."""
-    b_stack = np.asarray(b_stack, dtype=complex)
+    """Batched solve over a (B, d, d) stack of finite upper half-plane points
+    (ValueError otherwise; shared level); anderson mixes the steps (see _picard_stack)."""
+    b_stack, = _stacks(b=b_stack)
     k = amplification_level(b_stack, problem.base_dim) if level is None else level
     w0, admissible = _start_stack(
         cfg, b_stack, lambda w0: _domain(_in_upper_halfplane, k, b_stack, w0))
@@ -672,6 +687,10 @@ def g_q(problem: SubordinationProblem, q, u, v, level: int = 1):
     h(u - iv) = dag(h(u + iv)) when u and v equal their dag, as in v_q solves
     and their amplifications, so that g_q is q + Im h(u + iv).
     """
+    d = level * problem.base_dim
+    if any(np.shape(x)[-2:] != (d, d) for x in (q, u, v)):
+        raise ValueError(f"g_q at level {level} takes points of size {d}, got shapes "
+                         f"{np.shape(q)}, {np.shape(u)} and {np.shape(v)}")
     return _g_q(problem, q, u, v, level, _selfadjoint(u) and _selfadjoint(v))
 
 
@@ -725,8 +744,9 @@ def _gq_jacobians(problem: SubordinationProblem, u: np.ndarray, v: np.ndarray,
 def solve_gq_stack(problem: SubordinationProblem, q_stack: np.ndarray,
                    u_stack: np.ndarray, cfg: SolverConfig = DEFAULT_CONFIG,
                    level: int | None = None) -> SolveStack:
-    """Batched v_q solves for a problem of either variant; u entries may be
-    non-selfadjoint amplifications.
+    """Batched v_q solves for a problem of either variant, over q and u stacks
+    of one shape (B, d, d) with finite entries (ValueError otherwise); u
+    entries may be non-selfadjoint amplifications.
 
     When q, u and the start are selfadjoint, so is every iterate, and each
     step takes h(u - iv) as dag(h(u + iv)): one h_map call.  That is tested
@@ -734,8 +754,7 @@ def solve_gq_stack(problem: SubordinationProblem, q_stack: np.ndarray,
     and on the dense points for the Newton derivatives, which mirror through
     the transpose on vec.
     """
-    q_stack = np.asarray(q_stack, dtype=complex)
-    u_stack = np.asarray(u_stack, dtype=complex)
+    q_stack, u_stack = _stacks(q=q_stack, u=u_stack)
     k = amplification_level(u_stack, problem.base_dim) if level is None else level
     v0, admissible = _start_stack(
         cfg, np.broadcast_to(np.eye(u_stack.shape[-1]), u_stack.shape) + q_stack,

@@ -132,6 +132,9 @@ def test_cp_map_rejects_bad_kraus_families():
         CPMap.from_kraus([np.ones(3)])
     with pytest.raises(ValueError, match="must be matrices"):
         CPMap.from_kraus([np.eye(2), np.ones((1, 2, 2))])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite entries"):
+            CPMap.from_kraus([np.eye(2), np.array([[1.0, bad], [0.0, 1.0]])])
 
 
 def _kraus_loop(kraus, x, level):

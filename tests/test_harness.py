@@ -43,6 +43,9 @@ def test_ensemble_spec_validation():
         EnsembleSpec("white_noise", BERN, 1.0, 10, 1, 0)
     with pytest.raises(ValueError):
         EnsembleSpec("deterministic_plus_gue", BERN, -0.5, 10, 1, 0)
+    for t in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+            EnsembleSpec("deterministic_plus_gue", BERN, t, 10, 1, 0)
     with pytest.raises(ValueError):
         EnsembleSpec("deterministic_plus_gue", BERN, 1.0, 1, 1, 0)
     with pytest.raises(ValueError):

@@ -28,6 +28,8 @@ def test_scalar_measure_validation():
         ScalarMeasure(atoms=((0.0, 0.7), (1.0, 0.7)))
     with pytest.raises(ValueError):
         ScalarMeasure(atoms=((0.0, -0.1), (1.0, 1.1)))
+    with pytest.raises(ValueError, match="atom weights"):
+        ScalarMeasure(atoms=((0.0, np.nan),))
     m = ScalarMeasure.symmetric_bernoulli()
     assert np.allclose(m.locations, [-1.0, 1.0])
     assert np.allclose(m.weights, [0.5, 0.5])
@@ -70,6 +72,8 @@ def test_model_validation_errors():
         OperatorModel.partial_trace(np.eye(5), 2)  # 5 not divisible by 2
     with pytest.raises(ValueError):
         OperatorModel(X=np.eye(4), base_dim=2, weights=np.array([0.5, 0.6]))
+    with pytest.raises(ValueError, match="nonnegative and sum to 1"):
+        OperatorModel(X=np.eye(2), base_dim=1, weights=np.array([np.nan, 1.0]))
     with pytest.raises(ValueError, match="not selfadjoint"):
         OperatorModel.partial_trace(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
 
@@ -152,18 +156,6 @@ def test_scalar_base_spectral_sums_match_dense_resolvents(level, drawn):
     h_dense = eta.apply(np.linalg.inv(identity_kron(level, model.X) - model.embed(b)), level)
     for got, want in ((model.cauchy(b, level), G_dense), (problem.h_map(b, level), h_dense)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def test_amplified_X_is_cached_and_read_only():
-    rng = np.random.default_rng(6)
-    model = random_model(rng, 2, 3)
-    for level in (1, 2, 3):
-        Xk = model.amplified_X(level)
-        assert Xk is model.amplified_X(level)
-        assert np.array_equal(Xk, np.kron(np.eye(level), model.X))
-        with pytest.raises(ValueError):
-            Xk[0, 0] = 1.0
-    assert model.X.flags.writeable
 
 
 def test_resolvent_identity():

@@ -46,8 +46,53 @@ def test_solver_config_validation():
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
+    with pytest.raises(ValueError, match="max_iter must be an integer"):
+        SolverConfig(max_iter=2.5)
     with pytest.raises(ValueError):
         SolverConfig(damping=1.0)
+
+
+def _diagonal_semicircle_problem():
+    model = OperatorModel.partial_trace(np.diag([1.0, 2.0, 3.0, 4.0]), 2)
+    return semicircle_problem(model, CPMap.scaled_identity(1.0, 2))
+
+
+def test_gq_stack_rejects_an_unstacked_q():
+    # broadcast against u, this q gave a v that is not selfadjoint, with
+    # v_22 about -1e-4, flagged converged; solve_vq gives diag(0.9026, 0.122)
+    prob = _diagonal_semicircle_problem()
+    with pytest.raises(ValueError, match=r"one shape \(B, d, d\), got q \(2, 2\), u \(1, 2, 2\)"):
+        solve_gq_stack(prob, 0.1 * np.eye(2), np.eye(2)[None])
+
+
+@pytest.mark.parametrize("lengths", [(1, 2), (2, 3)])
+def test_gq_stacks_of_different_lengths_are_rejected(lengths):
+    prob = _diagonal_semicircle_problem()
+    q, u = (np.stack([0.1 * np.eye(2)] * k) for k in lengths)
+    with pytest.raises(ValueError, match=rf"got q \({lengths[0]}, 2, 2\), u \({lengths[1]}, 2, 2\)"):
+        solve_gq_stack(prob, q, u)
+
+
+@pytest.mark.parametrize("name", ["b", "q", "u"])
+def test_non_finite_stack_entries_are_named(name):
+    prob = _diagonal_semicircle_problem()
+    stacks = {"b": np.stack([1j * np.eye(2)] * 3), "q": np.broadcast_to(0.1 * np.eye(2), (3, 2, 2)),
+              "u": np.stack([np.eye(2)] * 3)}
+    stacks[name] = stacks[name].copy()
+    stacks[name][2, 1, 0] = np.nan
+    with pytest.raises(ValueError, match=rf"{name} has entries that are not finite: \[2\]"):
+        if name == "b":
+            solve_omega_stack(prob, stacks["b"])
+        else:
+            solve_gq_stack(prob, stacks["q"], stacks["u"])
+
+
+def test_g_q_rejects_points_of_mismatched_sizes():
+    prob = _diagonal_semicircle_problem()
+    with pytest.raises(ValueError, match=r"level 2 takes points of size 4, got shapes \(2, 2\)"):
+        g_q(prob, 0.1 * np.eye(2), np.eye(4), np.eye(4), 2)
+    with pytest.raises(ValueError, match=r"level 1 takes points of size 2"):
+        g_q(prob, 0.1 * np.eye(2), np.eye(2), np.eye(4))
 
 
 def test_omega_point_mass_plus_semicircle_closed_form():
