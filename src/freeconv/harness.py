@@ -44,6 +44,11 @@ class EnsembleSpec:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
         if not 0 <= self.t < np.inf:
             raise ValueError("t must be finite and nonnegative")
+        for name in ("matrix_size", "samples", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.matrix_size < 2:
             raise ValueError("matrix_size must be at least 2")
         if self.samples < 1:

@@ -204,10 +204,21 @@ def ensemble_from_json(d: dict) -> EnsembleSpec:
         kind=d["kind"],
         deterministic=deterministic,
         t=float(d["t"]),
-        matrix_size=int(d["matrix_size"]),
-        samples=int(d["samples"]),
-        seed=int(d["seed"]),
+        matrix_size=_integral(d, "matrix_size"),
+        samples=_integral(d, "samples"),
+        seed=_integral(d, "seed"),
     )
+
+
+def _integral(d: dict, key: str) -> int:
+    """d[key] as an int when it is an integral number (2 or 2.0), else a
+    ValueError naming the key (2.7 is not truncated to 2)."""
+    value = d[key]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------

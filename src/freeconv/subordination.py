@@ -28,10 +28,11 @@ triangular points [[b1, c], [0, b2]] is tested on its diagonal blocks
 alone, since its fixed point keeps that form and its corner may be large
 against the imaginary parts of the diagonal.
 
-A caller that passes anderson=True gets type-II Anderson mixing of the
-damped Picard steps with the last three residuals, under the same
-half-plane safeguard.  Density sheets pass it: on an M_3-valued sheet it
-takes about a quarter of the steps, so that the Newton switch is rarely
+A caller that passes anderson=True gets Anderson mixing of the undamped
+images with the last three residuals, under the same half-plane
+safeguard, and a damped Picard step wherever the mixing has no history or
+no admissible candidate.  Density sheets pass it: on an M_3-valued sheet it
+takes under a quarter of the steps, so that the Newton switch is rarely
 reached.  Other solves take plain damped Picard steps: on single points and
 small stacks the mixing's bookkeeping costs more than the steps it saves,
 and near a spectral edge its iterate is less accurate at the same residual.
@@ -260,11 +261,13 @@ class SubordinationProblem:
                      cfg: SolverConfig = DEFAULT_CONFIG, anderson: bool = False) -> CauchyStack:
         """The record of a batched solve, with G(b) = G_X(omega(b)) as its
         value and the fixed points as its omega; the solve takes dense points
-        (a BlockUpper stack is assembled)."""
+        (a BlockUpper stack is assembled).  G comes from the solve's last
+        step at each omega (see solve_omega_stack's cauchy_out)."""
+        b_stack = dense(b_stack)
+        G = np.empty(np.shape(b_stack), dtype=complex)
         w, iterations, residual, converged = solve_omega_stack(
-            self, dense(b_stack), cfg, level, anderson)
-        return CauchyStack(dense(self.model.cauchy(split(w, level), level)),
-                           iterations, residual, converged, omega=w)
+            self, b_stack, cfg, level, anderson, cauchy_out=G)
+        return CauchyStack(G, iterations, residual, converged, omega=w)
 
     # -- the nonlinear part of the fixed-point map ------------------------
 
@@ -286,8 +289,20 @@ class SubordinationProblem:
             return -self.model.spectral_sum(self._eta_weights, w, level)
         if self.variant == "generic":
             return -self.eta.apply(self.model.resolvent(w, level), level)
-        h = inv(self.model.cauchy(w, level), level) - w
-        return self.alpha.apply(h, level) - h
+        return self._h_and_cauchy(w, level)[0]
+
+    def _h_and_cauchy(self, w, level: int):
+        """(h(w), G_X(w)) from the calls of one nonlinearity evaluation:
+        the power variant inverts G_X(w), and the generic one takes the
+        expectation of the resolvent it applies eta to, which only this
+        pays for.  G_X(w) has the bits of model.cauchy(w, level).  Not for
+        a generic problem over a scalar base, whose h is a spectral sum."""
+        if self.variant == "generic":
+            R = self.model.resolvent(w, level)
+            return -self.eta.apply(R, level), self.model.expect(R, level)
+        G = self.model.cauchy(w, level)
+        h = inv(G, level) - w
+        return self.alpha.apply(h, level) - h, G
 
     def shift(self, level: int = 1) -> np.ndarray:
         n = self.model.base_dim
@@ -383,18 +398,20 @@ def _domain(admissible, level: int, *stacks: np.ndarray):
     return on_blocks
 
 
-ANDERSON_DEPTH = 3   # fewest steps on an M_3 density sheet among depths 1-5
+# fewest steps on the M_3 density sheet of the benchmark among depths 1-6:
+# 927, 770, 734, 796, 850 and 896 steps for its two eps-sheets
+ANDERSON_DEPTH = 3
 
 
 class _AndersonHistory:
-    """Type-II Anderson mixing (Walker and Ni, SIAM J. Numer. Anal. 49,
-    2011) of the damped Picard points of a stacked solve.
+    """Anderson mixing (Walker and Ni, SIAM J. Numer. Anal. 49, 2011) of
+    the points x of a stacked solve, which are its undamped images step(w)
+    (mixing parameter 1).
 
     Per active entry it keeps the last ANDERSON_DEPTH differences of the
-    residuals f = step(w) - w and of the damped Picard points
-    p = w + (1 - damping) f, vectorized, in preallocated slots written in
-    turn; unused and cleared slots hold zeros, which the ridge gives zero
-    weight.
+    residuals f = step(w) - w and of the points x, vectorized, in
+    preallocated slots written in turn; unused and cleared slots hold
+    zeros, which the ridge gives zero weight.
     """
 
     def __init__(self, nbatch: int, size: int):
@@ -415,24 +432,28 @@ class _AndersonHistory:
             self.df[rows] = 0.0
             self.dp[rows] = 0.0
 
-    def mix(self, diff: np.ndarray, res2: np.ndarray, p: np.ndarray,
-            admissible) -> np.ndarray:
-        """p - dP gamma with gamma = argmin ||f - dF gamma|| per entry.
+    def mix(self, diff: np.ndarray, res2: np.ndarray, x: np.ndarray,
+            admissible, fallback: np.ndarray | None = None) -> np.ndarray:
+        """x - dP gamma with gamma = argmin ||f - dF gamma|| per entry.
 
-        An entry whose squared residual res2 grew since the last step
-        restarts from an empty history, so its candidate is p; one whose
-        candidate is not admissible takes p and clears its history.
+        An entry with no difference in its history takes fallback (x when
+        not given): on the first step, and on a step where its squared
+        residual res2 grew since the last one, which clears its history.
+        One whose candidate is not admissible also takes fallback and
+        clears its history.
         """
+        fallback = x if fallback is None else fallback
         f = diff.reshape(len(diff), -1)
-        pv = p.reshape(len(p), -1)
+        xv = x.reshape(len(x), -1)
         if self.f is None:
-            self.f, self.p, self.res2 = f, pv, res2
-            return p.copy()   # the driver writes Newton points into the result
+            self.f, self.p, self.res2 = f, xv, res2
+            return fallback.copy()   # the driver writes Newton points into the result
         self.df[:, self.slot] = f - self.f
-        self.dp[:, self.slot] = pv - self.p
+        self.dp[:, self.slot] = xv - self.p
         self.slot = (self.slot + 1) % ANDERSON_DEPTH
-        self._clear(res2 > self.res2)
-        self.f, self.p, self.res2 = f, pv, res2
+        grown = res2 > self.res2
+        self._clear(grown)
+        self.f, self.p, self.res2 = f, xv, res2
         dfh = self.df.conj()
         if f.shape[-1] == 1:
             # push-through: (dF* dF + r)^-1 dF* f = dF* (dF dF* + r)^-1 f, and
@@ -446,10 +467,11 @@ class _AndersonHistory:
             ridge = 1e-13 * np.trace(gram.real, axis1=-2, axis2=-1) + np.finfo(float).tiny
             gram[:, range(ANDERSON_DEPTH), range(ANDERSON_DEPTH)] += ridge[:, None]
             gamma = np.linalg.solve(gram, dfh @ f[..., None])
-        cand = (pv - (gamma.swapaxes(-1, -2) @ self.dp)[:, 0]).reshape(p.shape)
+        cand = (xv - (gamma.swapaxes(-1, -2) @ self.dp)[:, 0]).reshape(x.shape)
         bad = ~admissible(cand)
-        cand[bad] = p[bad]
         self._clear(bad)
+        bad |= grown
+        cand[bad] = fallback[bad]
         return cand
 
 
@@ -473,17 +495,21 @@ def _picard_stack(step: Callable[[np.ndarray, np.ndarray], np.ndarray],
     constants.  Entries freeze at the first iterate whose equation residual
     drops below tol (Frobenius test, spectral norm reported).
 
-    Steps are damped Picard steps w <- (1 - damping) step(w) + damping w.
-    With anderson each step mixes in the last ANDERSON_DEPTH steps: with
-    f = step(w) - w and p the damped Picard point, the next iterate is
-    p - dP gamma, where dF and dP hold the differences of the recent f and
-    p and gamma minimizes ||f - dF gamma|| (normal equations with a small
-    relative ridge).  With no history this is the damped Picard step.  An
-    entry whose residual grew restarts from an empty history, which stops
-    the mixed iterates from drifting with a growing residual, and an entry
-    whose candidate is not admissible takes p and clears its history; the
-    fixed point in the half-plane is unique, so this keeps a solve from
-    converging to one outside it.
+    Steps are damped Picard steps p = (1 - damping) step(w) + damping w.
+    With anderson each step extrapolates the undamped images over the last
+    ANDERSON_DEPTH steps: with f = step(w) - w, the next iterate is
+    step(w) - dF^ gamma, where dF and dF^ hold the differences of the
+    recent f and step(w) and gamma minimizes ||f - dF gamma|| (normal
+    equations with a small relative ridge).  That is Anderson mixing with
+    mixing parameter 1; mixing the damped points instead (parameter
+    1 - damping) took 1.1-1.6 times as many steps on M_2 and M_3 stacks.
+    An entry whose history holds no difference takes the damped Picard step
+    p: on its first step, and when its residual grew, which restarts it
+    from an empty history and stops the mixed iterates from drifting with a
+    growing residual.  An entry whose candidate is not admissible takes p
+    and clears its history; the fixed point in the half-plane is unique, so
+    this keeps a solve from converging to one outside it, and the damping
+    still guards the steps near the real axis.
 
     When derivative(w_active, idx) is given (the Jacobian of step on vec(M_d)
     as a stack of d^2 x d^2 matrices), an entry still unconverged after
@@ -526,7 +552,7 @@ def _picard_stack(step: Callable[[np.ndarray, np.ndarray], np.ndarray],
                 history.keep(rest)
         nxt = (1.0 - cfg.damping) * fw + cfg.damping * wa
         if history is not None:
-            nxt = history.mix(diff, res2, nxt, admissible)
+            nxt = history.mix(diff, res2, fw, admissible, fallback=nxt)
         if it > budget:
             newton = np.flatnonzero(res2 < before)
             before = np.full(active.size, np.inf)
@@ -547,13 +573,23 @@ def _picard_stack(step: Callable[[np.ndarray, np.ndarray], np.ndarray],
 # ---------------------------------------------------------------------------
 
 
-def _omega_step(problem: SubordinationProblem, b_stack: np.ndarray, level: int):
+def _omega_step(problem: SubordinationProblem, b_stack: np.ndarray, level: int,
+                record: np.ndarray | None = None):
+    """The fixed-point map on the active entries; with record, each step
+    also writes G_X of its points into record at their batch indices, so
+    that record ends with G_X at each entry's returned iterate, the last
+    one its step evaluated (see SubordinationProblem._h_and_cauchy)."""
     shifted = b_stack + problem.shift(level)
 
     def step(w, idx):
         return shifted[idx] + dense(problem.h_map(split(w, level), level))
 
-    return step
+    def recording_step(w, idx):
+        h, G = problem._h_and_cauchy(split(w, level), level)
+        record[idx] = dense(G)
+        return shifted[idx] + dense(h)
+
+    return step if record is None else recording_step
 
 
 def _jacobians(fmap: Callable, w: np.ndarray, w2: np.ndarray | None = None) -> np.ndarray:
@@ -620,15 +656,30 @@ def _start_stack(cfg: SolverConfig, default: np.ndarray, domain: Callable):
 
 def solve_omega_stack(problem: SubordinationProblem, b_stack: np.ndarray,
                       cfg: SolverConfig = DEFAULT_CONFIG,
-                      level: int | None = None, anderson: bool = False) -> SolveStack:
+                      level: int | None = None, anderson: bool = False, *,
+                      cauchy_out: np.ndarray | None = None) -> SolveStack:
     """Batched solve over a (B, d, d) stack of finite upper half-plane points
-    (ValueError otherwise; shared level); anderson mixes the steps (see _picard_stack)."""
+    (ValueError otherwise; shared level); anderson mixes the steps (see _picard_stack).
+
+    cauchy_out, a complex array of the stack's shape, receives G_X(omega)
+    of each entry's returned omega, with the bits of model.cauchy there.
+    The step that evaluated omega already inverted the resolvent or G_X
+    at it, so the solve records G_X at every step (one expectation per
+    step on the generic dense path) and needs no closing inverse; over a
+    scalar base the generic step forms no G_X, and one closing spectral
+    sum gives it.
+    """
     b_stack, = _stacks(b=b_stack)
     k = amplification_level(b_stack, problem.base_dim) if level is None else level
     w0, admissible = _start_stack(
         cfg, b_stack, lambda w0: _domain(_in_upper_halfplane, k, b_stack, w0))
-    return _picard_stack(_omega_step(problem, b_stack, k), w0, cfg,
-                         _omega_derivative(problem, k), admissible, anderson)
+    scalar_sum = problem.variant == "generic" and problem.base_dim == 1
+    record = None if scalar_sum else cauchy_out
+    solve = _picard_stack(_omega_step(problem, b_stack, k, record), w0, cfg,
+                          _omega_derivative(problem, k), admissible, anderson)
+    if scalar_sum and cauchy_out is not None:
+        cauchy_out[...] = dense(problem.model.cauchy(split(solve.value, k), k))
+    return solve
 
 
 def solve_omega(problem: SubordinationProblem, b,

@@ -58,6 +58,24 @@ def test_ensemble_spec_validation():
         )
 
 
+# matrix_size 10.5 failed in sample_rmt_spectrum with "slice indices must be
+# integers", samples 2.0 with a TypeError and seed 1.5 in SeedSequence
+@pytest.mark.parametrize("field, value", [
+    ("matrix_size", 10.5), ("samples", 2.0), ("seed", 1.5), ("samples", True),
+], ids=["matrix_size", "samples", "seed", "bool"])
+def test_ensemble_spec_refuses_non_integers(field, value):
+    fields = {"matrix_size": 10, "samples": 2, "seed": 0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        EnsembleSpec("deterministic_plus_gue", BERN, 1.0, **fields)
+
+
+def test_ensemble_spec_takes_numpy_integers_as_ints():
+    spec = EnsembleSpec("deterministic_plus_gue", BERN, 1.0, np.int64(10), np.int32(2),
+                        np.uint8(3))
+    assert (spec.matrix_size, spec.samples, spec.seed) == (10, 2, 3)
+    assert all(type(x) is int for x in (spec.matrix_size, spec.samples, spec.seed))
+
+
 def test_atom_counts_largest_remainder():
     counts = _atom_counts(np.array([0.7, 0.2, 0.1]), 10)
     assert counts.tolist() == [7, 2, 1]

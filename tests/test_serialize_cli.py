@@ -295,6 +295,17 @@ def test_ensemble_roundtrip():
     assert back.kind == "deterministic_plus_haar_rotated"
 
 
+@pytest.mark.parametrize("field, value", [("samples", 2.7), ("matrix_size", "100"),
+                                          ("seed", None)])
+def test_ensemble_reader_refuses_non_integral_numbers(field, value):
+    # int() truncated "samples": 2.7 to 2 without a word
+    data = ensemble_to_json(EnsembleSpec(
+        "deterministic_plus_gue", ScalarMeasure.symmetric_bernoulli(), 1.0, 100, 5, 42))
+    assert getattr(ensemble_from_json({**data, field: 2.0}), field) == 2
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        ensemble_from_json({**data, field: value})
+
+
 def test_dump_json_is_deterministic(tmp_path):
     data = {"b": 1, "a": {"z": [1, 2], "y": 0.5}}
     p1, p2 = tmp_path / "one.json", tmp_path / "two.json"
@@ -683,6 +694,17 @@ def test_cli_validate_rmt(fixtures, tmp_path, capsys):
     rc = run_command(["validate-rmt", "--ensemble", fixtures["ensemble.json"],
                       "--against", str(rho), "--threshold", "1e-6"])
     assert rc == 2
+
+
+def test_cli_validate_rmt_refuses_a_fractional_sample_count(fixtures, tmp_path, capsys):
+    data = load_json(fixtures["ensemble.json"])
+    data["samples"] = 2.7
+    ensemble = tmp_path / "fractional.json"
+    dump_json(data, ensemble)
+    rc = run_command(["validate-rmt", "--ensemble", str(ensemble),
+                      "--against", str(tmp_path / "unread.csv")])
+    assert rc == 1
+    assert "samples must be an integer, got 2.7" in capsys.readouterr().err
 
 
 def test_cli_validate_rmt_refuses_sheet_with_failures(fixtures, tmp_path, capsys):
