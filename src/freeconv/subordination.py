@@ -582,14 +582,13 @@ def _omega_step(problem: SubordinationProblem, b_stack: np.ndarray, level: int,
     shifted = b_stack + problem.shift(level)
 
     def step(w, idx):
-        return shifted[idx] + dense(problem.h_map(split(w, level), level))
-
-    def recording_step(w, idx):
+        if record is None:
+            return shifted[idx] + dense(problem.h_map(split(w, level), level))
         h, G = problem._h_and_cauchy(split(w, level), level)
         record[idx] = dense(G)
         return shifted[idx] + dense(h)
 
-    return step if record is None else recording_step
+    return step
 
 
 def _jacobians(fmap: Callable, w: np.ndarray, w2: np.ndarray | None = None) -> np.ndarray:
