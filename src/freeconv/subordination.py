@@ -36,6 +36,8 @@ takes under a quarter of the steps, so that the Newton switch is rarely
 reached.  Other solves take plain damped Picard steps: on single points and
 small stacks the mixing's bookkeeping costs more than the steps it saves,
 and near a spectral edge its iterate is less accurate at the same residual.
+A step that costs a millisecond or more is split across the CPUs, with the
+bits of the serial step (see _picard_stack).
 
 The auxiliary map g_q(u, v) = q + Im h(u + iv), with h the nonlinearity of
 either variant, has for each selfadjoint u and positive q a unique positive
@@ -48,6 +50,9 @@ r -> Re omega(r + iq) on the real axis.
 
 from __future__ import annotations
 
+import os
+import threading
+import time
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NamedTuple
@@ -475,6 +480,114 @@ class _AndersonHistory:
         return cand
 
 
+# A step whose serial cost, estimated from its last evaluation, reaches this
+# many seconds is split across the CPUs (see _SplitStep).
+SPLIT_MIN_S = 1e-3
+
+_workers = (None, 1, None)    # (pid, CPUs, executor or None) of this process
+_workers_lock = threading.Lock()
+_thread = threading.local()   # .worker is set on the executor's threads
+if hasattr(os, "register_at_fork"):   # a child does not inherit a held lock
+    os.register_at_fork(before=_workers_lock.acquire, after_in_parent=_workers_lock.release,
+                        after_in_child=_workers_lock.release)
+
+
+def _mark_worker() -> None:
+    _thread.worker = True
+
+
+def _split_workers(start: bool = False):
+    """(CPUs, executor) of this process.  The CPUs are those of its affinity
+    mask; with start, the executor holds one thread per CPU but one, made
+    at its first use (no executor with one CPU).  Both are keyed by the
+    process id, so a forked child makes its own."""
+    global _workers
+    with _workers_lock:
+        pid, cpus, executor = _workers
+        if pid != os.getpid():
+            pid, executor = os.getpid(), None
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else \
+                os.cpu_count() or 1
+        if start and cpus > 1 and executor is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            executor = ThreadPoolExecutor(cpus - 1, thread_name_prefix="freeconv-split",
+                                          initializer=_mark_worker)
+        _workers = (pid, cpus, executor)
+    return cpus, executor
+
+
+def _in_errstate(err: dict, step, w, idx):
+    with np.errstate(**err):
+        return step(w, idx)
+
+
+class _SplitStep:
+    """step(w, idx) of a stacked solve, evaluated in parts across the CPUs.
+
+    An evaluation is split when the last one cost SPLIT_MIN_S or more for
+    the entries now active (its seconds per entry times their number), into
+    one part per CPU of the affinity mask, as long as each part keeps two
+    entries or more.  The first evaluation of a solve has no such cost: it
+    evaluates its first two entries alone, and that cost decides for the
+    others.  The first part runs here and the others on the executor's
+    threads, under the caller's numpy error state; the parts are joined in
+    entry order.  Every entry's step computes the same bits on a part of
+    the stack as on the whole (test_batch_invariance), so the split changes
+    no output bit.  A step that runs on a worker thread never splits again:
+    a solve inside a step (r_transform_eval) would otherwise wait for the
+    threads it occupies.
+
+    One submit(...).result() hand-off to an idle worker costs 31-45 us (a
+    2-vCPU Xeon shared with other jobs, means over 5 000), and a step on the M_3 density sheet of the benchmark
+    (a (B, 30, 30) resolvent inverse and eta with 90 Kraus operators),
+    serial against split in halves, medians of 30:
+
+        entries          4      8     12     16     24     41
+        serial (ms)   0.39   0.74   1.03   1.28   2.26   3.76
+        split (ms)    0.49   0.78   0.84   1.08   1.63   2.28
+
+    The split pays from about 0.8 ms of serial cost, so SPLIT_MIN_S = 1 ms,
+    20-30 hand-offs, splits only where it gains.  Steps of 1 x 1 and
+    2 x 2 points, and stacks of a few entries, stay far below it.
+    """
+
+    def __init__(self, step: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+        self.step = step
+        # the CPUs it may take: one on a worker thread
+        self.cpus = 1 if getattr(_thread, "worker", False) else _split_workers()[0]
+        self.cost = None   # serial seconds per entry of the last evaluation
+
+    def __call__(self, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        n = len(w)
+        if n < 4 or self.cpus == 1:
+            return self.step(w, idx)
+        if self.cost is None:
+            head = self._timed(w[:2], idx[:2])
+            return np.concatenate([head, self(w[2:], idx[2:])])
+        if self.cost * n < SPLIT_MIN_S:
+            return self._timed(w, idx)
+        executor = _split_workers(start=True)[1]
+        parts = min(self.cpus, n // 2)
+        cut = [n * p // parts for p in range(parts + 1)]
+        err = np.geterr()
+        futures = [executor.submit(_in_errstate, err, self.step, w[a:b], idx[a:b])
+                   for a, b in zip(cut[1:-1], cut[2:])]
+        try:
+            head = self._timed(w[:cut[1]], idx[:cut[1]])
+        except BaseException:
+            for future in futures:
+                future.exception()   # the workers finish before the error leaves
+            raise
+        return np.concatenate([head] + [future.result() for future in futures])
+
+    def _timed(self, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        start = time.perf_counter()
+        out = self.step(w, idx)
+        self.cost = (time.perf_counter() - start) / len(w)
+        return out
+
+
 def _picard_stack(step: Callable[[np.ndarray, np.ndarray], np.ndarray],
                   w0: np.ndarray, cfg: SolverConfig,
                   derivative: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
@@ -519,7 +632,19 @@ def _picard_stack(step: Callable[[np.ndarray, np.ndarray], np.ndarray],
     default: not in the upper half-plane) or the linear system is singular,
     and when the previous Newton step did not lower the residual.  max_iter
     counts every kind of step.
+
+    A step whose last evaluation cost a millisecond or more for the entries
+    now active (the first evaluation times its first two entries alone) is
+    evaluated in parts, one per CPU of the process's affinity mask with two
+    entries or more each, on worker threads (see _SplitStep); the parts are
+    joined in entry order, so the split changes no bit of the result.  It
+    serves every solve, omega and v_q, with or without Anderson mixing and
+    Newton steps; the mixing and the Newton derivatives stay on the calling
+    thread.  With one CPU no worker is started, and an affinity mask
+    (taskset -c 0) keeps a process on one.  The workers add to the threads
+    of a multi-threaded BLAS, which can then oversubscribe the CPUs.
     """
+    step = _SplitStep(step)
     w = np.array(w0, dtype=complex)
     nbatch = w.shape[0]
     iterations = np.full(nbatch, cfg.max_iter, dtype=np.int64)
@@ -791,6 +916,17 @@ def _gq_jacobians(problem: SubordinationProblem, u: np.ndarray, v: np.ndarray,
     return 0.5 * (jp + jm), -0.5j * (jp - jm)
 
 
+def _selfadjoint_candidates(admissible):
+    """The admissible test of a solve with selfadjoint iterates: it first
+    replaces each candidate v, in place, by its selfadjoint part (v + v*)/2."""
+
+    def test(v: np.ndarray) -> np.ndarray:
+        v[...] = 0.5 * (v + dag(v))
+        return admissible(v)
+
+    return test
+
+
 def solve_gq_stack(problem: SubordinationProblem, q_stack: np.ndarray,
                    u_stack: np.ndarray, cfg: SolverConfig = DEFAULT_CONFIG,
                    level: int | None = None) -> SolveStack:
@@ -802,7 +938,12 @@ def solve_gq_stack(problem: SubordinationProblem, q_stack: np.ndarray,
     step takes h(u - iv) as dag(h(u + iv)): one h_map call.  That is tested
     once, here, and not at every step: on the split points for the steps,
     and on the dense points for the Newton derivatives, which mirror through
-    the transpose on vec.
+    the transpose on vec.  A Newton step solves a complex linear system, so
+    its candidate is selfadjoint only up to rounding, and the mirrored step,
+    which takes h(u - iv) = dag(h(u + iv)), would let that defect grow about
+    a hundredfold per step while the positive definite test does not see it.
+    So, when the dense points mirror, the test first replaces each
+    candidate v by (v + v*)/2.
     """
     q_stack, u_stack = _stacks(q=q_stack, u=u_stack)
     k = amplification_level(u_stack, problem.base_dim) if level is None else level
@@ -813,6 +954,8 @@ def solve_gq_stack(problem: SubordinationProblem, q_stack: np.ndarray,
     q, u, start = (split(x, k) for x in points)
     mirrored = all(_selfadjoint(x) for x in (q, u, start))
     dense_mirrored = all(_selfadjoint(x) for x in points)
+    if dense_mirrored:
+        admissible = _selfadjoint_candidates(admissible)
     return _picard_stack(_gq_step(problem, q, u, k, mirrored), v0, cfg,
                          lambda v, idx: _gq_jacobians(problem, u_stack[idx], v, k,
                                                       dense_mirrored)[0],

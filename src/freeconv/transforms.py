@@ -233,7 +233,11 @@ def density_grid(source, abscissae, epsilons,
     extrapolates the undamped steps and falls back to the damped one where
     it has no history or no admissible candidate: on M_2 and M_3 stacks it
     takes 0.28-0.36 of the steps of damped Picard steps alone, and under a
-    quarter on the M_3 sheet of the benchmark.
+    quarter on the M_3 sheet of the benchmark.  A step that costs a
+    millisecond or more is split across the CPUs of the process's affinity
+    mask, bit for bit (see subordination._picard_stack): the 41-point M_3
+    sheet of the benchmark has its steps split in halves on two CPUs, while
+    the steps of a sheet over a scalar base stay far below that cost.
     The sheets are solved from the largest eps down, and each sheet after
     the first continues from the one above: its solve starts (cfg.start)
     from the fixed points omega of the sheet above where those converged,

@@ -12,14 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import freeconv.subordination as subordination
-from freeconv import (CPMap, OperatorModel, ScalarMeasure, SubordinationProblem, phi_q,
-                      scalar_to_model, solve_vq)
+from freeconv import (CPMap, OperatorModel, ScalarMeasure, SolverConfig, SubordinationProblem,
+                      phi_q, scalar_to_model, solve_vq)
 from freeconv.algebra import (BlockUpper, dense, identity_kron, imag_part, split, unvec,
                               upper_block, vec)
 from freeconv.subordination import _gq_jacobians, _newton_budget, g_q, solve_gq_stack
 from freeconv.transforms import semicircle_problem
 
-from helpers import random_hermitian, random_problem, random_psd
+from helpers import random_hermitian, random_power_problem, random_problem, random_psd
 from test_block_rule import _record
 
 
@@ -165,3 +165,26 @@ def test_each_entry_of_a_stack_is_tested_for_selfadjointness():
     stacked, alone = solve_gq_stack(prob, q, u), solve_gq_stack(prob, q[1:], u[1:])
     assert stacked.converged.all() and alone.converged.all()
     _close(stacked.value[1], alone.value[0], 1e-12)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_problem(np.random.default_rng(3), n=2, m=2),
+    lambda: random_power_problem(np.random.default_rng(1), 2, 3),
+    lambda: random_problem(np.random.default_rng(5), n=3, m=2),
+    lambda: random_power_problem(np.random.default_rng(2), 3, 2),
+], ids=["generic M_2", "power M_2", "generic M_3", "power M_3"])
+@pytest.mark.parametrize("q", [1e-3, 1e-6, 1e-9, 1e-12])
+def test_damped_vq_solves_near_the_edge_keep_their_iterates_selfadjoint(make, q):
+    # 60 points u of growing norm reach the edge of the support; a Newton
+    # candidate is selfadjoint only up to rounding, and without taking its
+    # selfadjoint part the mirrored steps blew that defect up until solves
+    # ran out of steps with v not positive (at 1e-3 up to 20 000 steps)
+    prob = make()
+    n = prob.base_dim
+    rng = np.random.default_rng(0)
+    u = np.stack([random_hermitian(rng, n, scale=s) for s in np.linspace(0.2, 4, 60)])
+    v, iterations, _, converged = solve_gq_stack(
+        prob, np.broadcast_to(q * np.eye(n), u.shape), u, SolverConfig(damping=0.5, max_iter=400))
+    assert converged.all() and iterations.max() <= 80, np.flatnonzero(~converged)
+    assert np.array_equal(v, np.conj(np.swapaxes(v, -1, -2)))
+    assert np.all(np.linalg.eigvalsh(v)[:, 0] > 0)
