@@ -528,20 +528,27 @@ class _SplitStep:
     An evaluation is split when the last one cost SPLIT_MIN_S or more for
     the entries now active (its seconds per entry times their number), into
     one part per CPU of the affinity mask, as long as each part keeps two
-    entries or more.  The first evaluation of a solve has no such cost: it
-    evaluates its first two entries alone, and that cost decides for the
-    others.  The first part runs here and the others on the executor's
-    threads, under the caller's numpy error state; the parts are joined in
-    entry order.  Every entry's step computes the same bits on a part of
-    the stack as on the whole (test_batch_invariance), so the split changes
-    no output bit.  A step that runs on a worker thread never splits again:
-    a solve inside a step (r_transform_eval) would otherwise wait for the
+    entries or more.  The cost is the CPU time of the calling thread
+    (time.thread_time), which a thread does not accrue while it is
+    preempted, so a busy machine does not make a cheap step look dear.  The
+    first evaluation of a solve has no cost to go by and is not split: it
+    evaluates its first part and then the others, one after the other, so
+    that no evaluation holds the temporaries of the whole stack, and the
+    cost of the others, taken once the first part has filled the caches a
+    step keeps (an eigendecomposition, say), decides for the next one.
+    When split, the first part runs here and the others on the executor's threads,
+    under the caller's numpy error state; the parts are joined in entry
+    order.  Every entry's step computes the same bits on a part of the
+    stack as on the whole (test_batch_invariance), so the split changes no
+    output bit.  A step that runs on a worker thread never splits again: a
+    solve inside a step (r_transform_eval) would otherwise wait for the
     threads it occupies.
 
     One submit(...).result() hand-off to an idle worker costs 31-45 us (a
-    2-vCPU Xeon shared with other jobs, means over 5 000), and a step on the M_3 density sheet of the benchmark
-    (a (B, 30, 30) resolvent inverse and eta with 90 Kraus operators),
-    serial against split in halves, medians of 30:
+    2-vCPU Xeon shared with other jobs, means over 5 000), and a step on
+    the M_3 density sheet of the benchmark (a (B, 30, 30) resolvent inverse
+    and eta with 90 Kraus operators), serial against split in halves,
+    medians of 30:
 
         entries          4      8     12     16     24     41
         serial (ms)   0.39   0.74   1.03   1.28   2.26   3.76
@@ -563,8 +570,9 @@ class _SplitStep:
         if n < 4 or self.cpus == 1:
             return self.step(w, idx)
         if self.cost is None:
-            head = self._timed(w[:2], idx[:2])
-            return np.concatenate([head, self(w[2:], idx[2:])])
+            k = max(2, n // self.cpus)
+            head = self.step(w[:k], idx[:k])
+            return np.concatenate([head, self._timed(w[k:], idx[k:])])
         if self.cost * n < SPLIT_MIN_S:
             return self._timed(w, idx)
         executor = _split_workers(start=True)[1]
@@ -582,9 +590,9 @@ class _SplitStep:
         return np.concatenate([head] + [future.result() for future in futures])
 
     def _timed(self, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        start = time.perf_counter()
+        start = time.thread_time()
         out = self.step(w, idx)
-        self.cost = (time.perf_counter() - start) / len(w)
+        self.cost = (time.thread_time() - start) / len(w)
         return out
 
 
@@ -634,8 +642,8 @@ def _picard_stack(step: Callable[[np.ndarray, np.ndarray], np.ndarray],
     counts every kind of step.
 
     A step whose last evaluation cost a millisecond or more for the entries
-    now active (the first evaluation times its first two entries alone) is
-    evaluated in parts, one per CPU of the process's affinity mask with two
+    now active (the first evaluation, not split, is timed on all but its
+    first part) is evaluated in parts, one per CPU of the process's affinity mask with two
     entries or more each, on worker threads (see _SplitStep); the parts are
     joined in entry order, so the split changes no bit of the result.  It
     serves every solve, omega and v_q, with or without Anderson mixing and
