@@ -6,21 +6,19 @@ np.array_equal.  On one CPU both run serially, and the tests check that no
 thread is started.
 """
 
-import concurrent.futures
 import multiprocessing
 import os
 import subprocess
 import sys
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import freeconv.subordination as subordination
-from freeconv import OperatorModel, SolverConfig, solve_omega_stack
+from freeconv import SolverConfig, solve_omega_stack
 from freeconv.subordination import _picard_stack, solve_gq_stack
 
 from helpers import random_hermitian, random_psd
@@ -113,19 +111,18 @@ def test_split_vq_solves_match_serial_solves(monkeypatch, parts, variant, n, lev
 
 
 def test_split_step_keeps_the_callers_numpy_error_state(monkeypatch, parts):
-    # the first step of entry 5 overflows; under the caller's errstate the
+    # every step overflows; under the caller's errstate the parts on the
     # workers do not warn either (RuntimeWarnings are errors in this suite)
-    rng = np.random.default_rng(34)
-    X = np.diag(rng.uniform(-1.5, 1.5, 3)).astype(complex)
-    prob = _problem("eta", rng, 1, OperatorModel.partial_trace(X, 1))
-    b = _points(rng, 1, "level 1")
-    b = np.concatenate([b, b])[:SIZE]
-    b[5] = X[0, 0] + 5e-324j
-    with np.errstate(over="ignore", invalid="ignore"):
-        split, serial = _split_and_serial(
-            monkeypatch, parts, lambda: solve_omega_stack(prob, b, SolverConfig(damping=0.5)))
-    _assert_identical(split, serial)
-    assert serial.converged.tolist() == [True] * 5 + [False, True]
+    monkeypatch.setattr(subordination, "SPLIT_MIN_S", 0.0)
+
+    def step(w, idx):
+        np.full(len(w), 1e308) * 10.0
+        return 0.5 * w + 1j
+
+    with np.errstate(over="ignore"):
+        solve = _picard_stack(step, np.full((SIZE, 1, 1), 1j), SolverConfig())
+    assert solve.converged.all()
+    assert bool(parts) == (CPUS > 1)
 
 
 def test_a_solve_in_a_split_step_finishes(monkeypatch, parts):
@@ -156,9 +153,9 @@ def test_a_solve_in_a_split_step_finishes(monkeypatch, parts):
         assert any(name.startswith("freeconv-split") for name in inner)
 
 
-def test_concurrent_solves_share_one_executor(monkeypatch):
+def test_concurrent_solves_share_one_pool_of_workers(monkeypatch):
     # more threads than CPUs split their solves at once, from a process
-    # with no executor yet, with short switch intervals
+    # with no workers yet, with short switch intervals
     monkeypatch.setattr(subordination, "SPLIT_MIN_S", np.inf)
     rng = np.random.default_rng(38)
     prob = _problem("beta", rng, 2)
@@ -166,12 +163,12 @@ def test_concurrent_solves_share_one_executor(monkeypatch):
     serial = solve_omega_stack(prob, b, SolverConfig(damping=0.5))
     made = []
 
-    class Counting(ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            made.append(self)
-            super().__init__(*args, **kwargs)
+    class Counting(subordination._Workers):
+        def __init__(self, count):
+            made.append(count)
+            super().__init__(count)
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counting)
+    monkeypatch.setattr(subordination, "_Workers", Counting)
     monkeypatch.setattr(subordination, "_workers", (None, 1, None))
     monkeypatch.setattr(subordination, "SPLIT_MIN_S", 0.0)
     results = []
@@ -195,9 +192,7 @@ def test_concurrent_solves_share_one_executor(monkeypatch):
     assert len(results) == len(threads)
     for got in results:
         _assert_identical(got, serial)
-    assert len(made) == (CPUS > 1)
-    for executor in made:
-        executor.shutdown()
+    assert made == ([CPUS - 1] if CPUS > 1 else [])
 
 
 def _child_solve(conn, prob, b):
