@@ -9,7 +9,7 @@ generic problem over a scalar base, whose step is a spectral sum.
 import numpy as np
 import pytest
 
-import freeconv.subordination as subordination
+import freeconv.parallel as parallel
 from freeconv import CPMap, OperatorModel, SolverConfig, SubordinationProblem, solve_omega_stack
 from freeconv.algebra import dense, split, upper_block
 from freeconv.transforms import semicircle_problem
@@ -41,7 +41,7 @@ def _points(rng, n, form):
 
 def _count_cauchy(monkeypatch):
     # a step split across CPUs calls once per part, as its timing decides
-    monkeypatch.setattr(subordination, "SPLIT_MIN_S", np.inf)
+    monkeypatch.setattr(parallel, "SPLIT_MIN_S", np.inf)
     calls = []
     original = OperatorModel.cauchy
 

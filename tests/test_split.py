@@ -1,8 +1,8 @@
 """Stacked solves split an expensive step across the CPUs, with the same bits.
 
 The gate SPLIT_MIN_S is forced to 0 (split every step of four entries or
-more) or to inf (never split), and the two solves are compared with
-np.array_equal.  On one CPU both run serially, and the tests check that no
+more but a solve's first) or to inf (never split), and the two solves are
+compared with np.array_equal.  On one CPU both run serially, and the tests check that no
 thread is started.
 """
 
@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import freeconv.subordination as subordination
+import freeconv.parallel as parallel
 from freeconv import SolverConfig, solve_omega_stack
-from freeconv.subordination import _picard_stack, solve_gq_stack
+from freeconv.subordination import _newton_budget, _picard_stack, solve_gq_stack
 
 from helpers import random_hermitian, random_psd
 from test_cauchy_record import _points, _problem
@@ -33,22 +33,22 @@ FORMS = ("level 1", "level 2 dense", "level 2 block")
 def parts(monkeypatch):
     """Count the parts that run on worker threads."""
     calls = []
-    original = subordination._in_errstate
+    original = parallel._in_errstate
 
     def counting(err, step, w, idx):
         calls.append((threading.current_thread().name, len(w)))
         return original(err, step, w, idx)
 
-    monkeypatch.setattr(subordination, "_in_errstate", counting)
+    monkeypatch.setattr(parallel, "_in_errstate", counting)
     return calls
 
 
 def _split_and_serial(monkeypatch, parts, solve):
     """solve() with the gate forced open, then closed; the parts a split ran."""
-    monkeypatch.setattr(subordination, "SPLIT_MIN_S", 0.0)
+    monkeypatch.setattr(parallel, "SPLIT_MIN_S", 0.0)
     split = solve()
     ran = list(parts)
-    monkeypatch.setattr(subordination, "SPLIT_MIN_S", np.inf)
+    monkeypatch.setattr(parallel, "SPLIT_MIN_S", np.inf)
     serial = solve()
     assert len(parts) == len(ran)
     if CPUS > 1:
@@ -93,7 +93,7 @@ def test_split_solves_with_newton_steps_match_serial_solves(monkeypatch, parts, 
     split, serial = _split_and_serial(
         monkeypatch, parts, lambda: solve_omega_stack(prob, b, cfg))
     _assert_identical(split, serial)
-    assert serial.iterations.max() > subordination._newton_budget(n)
+    assert serial.iterations.max() > _newton_budget(n)
 
 
 @pytest.mark.parametrize("level", [1, 2])
@@ -113,7 +113,7 @@ def test_split_vq_solves_match_serial_solves(monkeypatch, parts, variant, n, lev
 def test_split_step_keeps_the_callers_numpy_error_state(monkeypatch, parts):
     # every step overflows; under the caller's errstate the parts on the
     # workers do not warn either (RuntimeWarnings are errors in this suite)
-    monkeypatch.setattr(subordination, "SPLIT_MIN_S", 0.0)
+    monkeypatch.setattr(parallel, "SPLIT_MIN_S", 0.0)
 
     def step(w, idx):
         np.full(len(w), 1e308) * 10.0
@@ -129,7 +129,7 @@ def test_a_solve_in_a_split_step_finishes(monkeypatch, parts):
     # each outer step runs a stacked solve; the outer step splits, and the
     # part on a worker must not split its inner solve (with one worker it
     # would wait for itself)
-    monkeypatch.setattr(subordination, "SPLIT_MIN_S", 0.0)
+    monkeypatch.setattr(parallel, "SPLIT_MIN_S", 0.0)
     rng = np.random.default_rng(35)
     prob = _problem("beta", rng, 2)
     b = _points(rng, 2, "level 1")
@@ -156,21 +156,21 @@ def test_a_solve_in_a_split_step_finishes(monkeypatch, parts):
 def test_concurrent_solves_share_one_pool_of_workers(monkeypatch):
     # more threads than CPUs split their solves at once, from a process
     # with no workers yet, with short switch intervals
-    monkeypatch.setattr(subordination, "SPLIT_MIN_S", np.inf)
+    monkeypatch.setattr(parallel, "SPLIT_MIN_S", np.inf)
     rng = np.random.default_rng(38)
     prob = _problem("beta", rng, 2)
     b = np.concatenate([_points(rng, 2, "level 1") for _ in range(2)])[:SIZE]
     serial = solve_omega_stack(prob, b, SolverConfig(damping=0.5))
     made = []
 
-    class Counting(subordination._Workers):
+    class Counting(parallel._Workers):
         def __init__(self, count):
             made.append(count)
             super().__init__(count)
 
-    monkeypatch.setattr(subordination, "_Workers", Counting)
-    monkeypatch.setattr(subordination, "_workers", (None, 1, None))
-    monkeypatch.setattr(subordination, "SPLIT_MIN_S", 0.0)
+    monkeypatch.setattr(parallel, "_Workers", Counting)
+    monkeypatch.setattr(parallel, "_workers", (None, 1, None))
+    monkeypatch.setattr(parallel, "SPLIT_MIN_S", 0.0)
     results = []
     start = threading.Barrier(2 * CPUS + 2, timeout=60)
 
@@ -197,17 +197,17 @@ def test_concurrent_solves_share_one_pool_of_workers(monkeypatch):
 
 def _child_solve(conn, prob, b):
     record = solve_omega_stack(prob, b, SolverConfig(damping=0.5))
-    conn.send((record, subordination._workers[0] == os.getpid()))
+    conn.send((record, parallel._workers[0] == os.getpid()))
     conn.close()
 
 
 def test_a_forked_child_splits_with_its_own_workers(monkeypatch, parts):
-    monkeypatch.setattr(subordination, "SPLIT_MIN_S", 0.0)
+    monkeypatch.setattr(parallel, "SPLIT_MIN_S", 0.0)
     rng = np.random.default_rng(36)
     prob = _problem("eta", rng, 2)
     b = np.concatenate([_points(rng, 2, "level 1") for _ in range(2)])[:SIZE]
     parent = solve_omega_stack(prob, b, SolverConfig(damping=0.5))
-    assert (subordination._workers[2] is not None) == (CPUS > 1)   # the parent's workers run
+    assert (parallel._workers[2] is not None) == (CPUS > 1)   # the parent's workers run
     ctx = multiprocessing.get_context("fork")
     here, there = ctx.Pipe(duplex=False)
     with warnings.catch_warnings():
@@ -230,7 +230,7 @@ def test_one_cpu_starts_no_thread():
         "import os, threading\n"
         "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
         "import numpy as np\n"
-        "import freeconv.subordination as s\n"
+        "import freeconv.parallel as s\n"
         "from freeconv import SolverConfig, solve_omega_stack\n"
         "from helpers import random_problem, random_upper\n"
         "s.SPLIT_MIN_S = 0.0\n"
