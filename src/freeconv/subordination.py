@@ -82,7 +82,6 @@ from .algebra import (
     unvec,
     vec,
 )
-
 from .parallel import SplitStep
 
 if TYPE_CHECKING:
