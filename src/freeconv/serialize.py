@@ -92,7 +92,7 @@ def cp_map_to_json(m: CPMap) -> dict:
 def cp_map_from_json(d: dict) -> CPMap:
     kind = d["kind"]
     if kind == "scaled_identity":
-        return CPMap.scaled_identity(float(d["scale"]), int(d["dim"]))
+        return CPMap.scaled_identity(float(d["scale"]), _integral(d, "dim"))
     if kind in ("kraus_on_B", "kraus_to_B"):
         kraus = [matrix_from_json(K) for K in d["kraus"]]
         return CPMap.from_kraus(kraus, to_base=(kind == "kraus_to_B"))
@@ -112,7 +112,9 @@ def model_to_json(model: OperatorModel) -> dict:
 
 def model_from_json(d: dict) -> OperatorModel:
     X = matrix_from_json(d["X"])
-    n = int(d["base_dim"])
+    n = _integral(d, "base_dim")
+    if "ambient_dim" in d and _integral(d, "ambient_dim") != X.shape[0]:
+        raise ValueError(f"ambient_dim {d['ambient_dim']!r} is not the size {X.shape[0]} of X")
     expectation = d.get("expectation", "partial_trace")
     if expectation == "partial_trace":
         return OperatorModel.partial_trace(X, n)
@@ -130,12 +132,8 @@ def solver_config_from_json(d: dict | None, base: SolverConfig | None = None) ->
     base = base if base is not None else SolverConfig()
     if not d:
         return base
-    return replace(
-        base,
-        tol=float(d.get("tol", base.tol)),
-        max_iter=int(d.get("max_iter", base.max_iter)),
-        damping=float(d.get("damping", base.damping)),
-    )
+    read = {"tol": _real, "max_iter": _integral, "damping": _real}
+    return replace(base, **{key: read[key](d, key) for key in read if key in d})
 
 
 def problem_to_json(problem: SubordinationProblem,
@@ -219,6 +217,15 @@ def _integral(d: dict, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return value
+
+
+def _real(d: dict, key: str) -> float:
+    """d[key] as a float when it is a number, else a ValueError naming the
+    key (float() would take true as 1.0 and "1e-10" as 1e-10)."""
+    value = d[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,9 @@ takes under a quarter of the steps, so that the Newton switch is rarely
 reached.  Other solves take plain damped Picard steps: on single points and
 small stacks the mixing's bookkeeping costs more than the steps it saves,
 and near a spectral edge its iterate is less accurate at the same residual.
-A step that costs a millisecond or more is split across the CPUs, with the
-bits of the serial step (see _picard_stack).
+A stack whose first step costs a millisecond or more is solved after that
+step as one part solve per CPU, each with its own Anderson mixing and Newton
+derivatives, with the bits of the serial solve (see _picard_stack).
 
 The auxiliary map g_q(u, v) = q + Im h(u + iv), with h the nonlinearity of
 either variant, has for each selfadjoint u and positive q a unique positive
@@ -50,12 +51,14 @@ r -> Re omega(r + iq) on the real axis.
 
 from __future__ import annotations
 
+import time
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
+from . import parallel
 from .algebra import (
     BlockUpper,
     CPMap,
@@ -82,7 +85,6 @@ from .algebra import (
     unvec,
     vec,
 )
-from .parallel import SplitStep
 
 if TYPE_CHECKING:
     from .model import OperatorModel
@@ -112,7 +114,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.tol > 0):
             raise ValueError("tol must be positive")
-        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer))
+                or self.max_iter < 1):
             raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
         if not (0.0 <= self.damping < 1.0):
             raise ValueError("damping must lie in [0, 1)")
@@ -523,20 +526,54 @@ def _picard_stack(step: Callable[[np.ndarray, np.ndarray], np.ndarray],
     and when the previous Newton step did not lower the residual.  max_iter
     counts every kind of step.
 
-    A step whose last evaluation cost a millisecond or more for the entries
-    now active (the first evaluation, not split, is timed on all but its
-    first part) is evaluated in parts, one per CPU of the process's
-    affinity mask with two entries or more each, on worker threads (see
-    parallel.SplitStep); the parts are joined in entry order, so the split
-    changes no bit of the result.  It serves every solve, omega and v_q,
-    with or without Anderson mixing and Newton steps; the mixing and the
-    Newton derivatives stay on the calling thread.  With one CPU no worker
-    is started, and an affinity mask (taskset -c 0) keeps a process on one.
-    The workers add to the threads of a multi-threaded BLAS, which can then
+    On two CPUs or more, a stack of four entries or more evaluates its first
+    step on the calling thread in two pieces: the entries of a first part,
+    then the rest, timed by the CPU time of the thread (time.thread_time,
+    which a preempted thread does not accrue), so that a cache the first
+    piece filled (an eigendecomposition, say) is not counted.  When that
+    time per entry times the number of entries reaches parallel.SPLIT_MIN_S
+    (a millisecond), the solve goes on as part solves, one per CPU of the
+    process's affinity mask, on contiguous parts of two entries or more,
+    each from its slice of the first step; the first part runs on the
+    calling thread and the others on threads started for this solve
+    (parallel.run_parts), and their records are joined in entry order.
+    Each entry's solve computes the same bits in a part as in the whole
+    stack, so the split changes no bit of the result.  It serves every
+    solve, omega and v_q, and the Anderson mixing and the Newton
+    derivatives run in the parts.  With one CPU no thread is started, and
+    an affinity mask (taskset -c 0) keeps a process on one.  The threads
+    add to those of a multi-threaded BLAS, which can then
     oversubscribe the CPUs.
     """
-    step = SplitStep(step)
     w = np.array(w0, dtype=complex)
+    n = len(w)
+    cpus = 1 if n < 4 else parallel.cpus()
+    if cpus == 1:
+        return _picard_run(step, w, None, cfg, derivative, admissible, anderson)
+    k = max(2, n // cpus)
+    head = step(w[:k], np.arange(k))
+    start = time.thread_time()
+    first = np.concatenate([head, step(w[k:], np.arange(k, n))])
+    if (time.thread_time() - start) / (n - k) * n < parallel.SPLIT_MIN_S:
+        return _picard_run(step, w, first, cfg, derivative, admissible, anderson)
+
+    def part(w: np.ndarray, first: np.ndarray, offset: int) -> SolveStack:
+        # the entries offset, offset + 1, ... of the stack, indexed from 0
+        def shift(f):
+            return f and (lambda x, idx: f(x, idx + offset))
+
+        return _picard_run(shift(step), w, first, cfg, shift(derivative), admissible, anderson)
+
+    parts = min(cpus, n // 2)
+    cut = [n * p // parts for p in range(parts + 1)]
+    solves = parallel.run_parts(part, [(w[a:b], first[a:b], a) for a, b in zip(cut, cut[1:])])
+    return SolveStack(*(np.concatenate(field) for field in zip(*solves)))
+
+
+def _picard_run(step, w: np.ndarray, first: np.ndarray | None, cfg: SolverConfig,
+                derivative, admissible, anderson: bool) -> SolveStack:
+    """The solve of _picard_stack on the calling thread, from the iterates
+    w, which it overwrites; first, when given, is step(w)."""
     nbatch = w.shape[0]
     iterations = np.full(nbatch, cfg.max_iter, dtype=np.int64)
     residual = np.full(nbatch, np.inf)
@@ -549,8 +586,8 @@ def _picard_stack(step: Callable[[np.ndarray, np.ndarray], np.ndarray],
     wa = w.copy()                  # iterates of the active entries
     before = np.full(nbatch, np.inf)   # squared residual before the last Newton step
     history = _AndersonHistory(nbatch, w[0].size) if anderson else None
+    fw = step(wa, active) if first is None else first
     for it in range(1, cfg.max_iter + 1):
-        fw = step(wa, active)
         diff = fw - wa
         res2 = np.sum(diff.real ** 2 + diff.imag ** 2, axis=(-2, -1))
         rest = (res2 > tol2) & (res2 < np.inf)   # neither converged nor failed
@@ -578,9 +615,10 @@ def _picard_stack(step: Callable[[np.ndarray, np.ndarray], np.ndarray],
                 nxt[newton[ok]] = cand[ok]
                 before[newton[ok]] = res2[newton[ok]]
         wa = nxt
+        fw = step(wa, active)
     if active.size:
         w[active] = wa
-        residual[active] = opnorm_stack(step(wa, active) - wa)
+        residual[active] = opnorm_stack(fw - wa)
     return SolveStack(w, iterations, residual, converged)
 
 

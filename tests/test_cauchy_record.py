@@ -40,7 +40,7 @@ def _points(rng, n, form):
 
 
 def _count_cauchy(monkeypatch):
-    # a step split across CPUs calls once per part, as its timing decides
+    # a solve split into part solves calls once per part, as its timing decides
     monkeypatch.setattr(parallel, "SPLIT_MIN_S", np.inf)
     calls = []
     original = OperatorModel.cauchy

@@ -919,3 +919,49 @@ def test_cli_reads_a_partial_solver_block_over_the_command_base(fixtures, tmp_pa
                         "--point", fixtures["b_2i.json"], "--out", str(out)]) == 0
     assert _provenance_of(out)["config"] == {
         "tol": 1e-10, "max_iter": 20000, "damping": 0.0}
+
+
+def _solve_exits_1_naming(problem_data, point, key, tmp_path, capsys):
+    problem, out = tmp_path / "p.json", tmp_path / "w.json"
+    dump_json(problem_data, problem)
+    dump_json(matrix_to_json(point), tmp_path / "b.json")
+    assert run_command(["solve", "--problem", str(problem), "--point",
+                        str(tmp_path / "b.json"), "--out", str(out)]) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("max_iter", 2.7), ("max_iter", True), ("max_iter", "3"), ("tol", True), ("tol", "1e-10"),
+    ("damping", False), ("damping", "0.5")])
+def test_solver_blocks_refuse_booleans_strings_and_fractions(fixtures, tmp_path, capsys,
+                                                              key, value):
+    # float() and int() read true as 1, "3" as 3 and 2.7 as 2; "tol": true
+    # let every solve stop as converged at a residual up to 1
+    with pytest.raises(ValueError, match=key):
+        solver_config_from_json({key: value})
+    data = load_json(fixtures["gamma.json"])
+    data["solver"] = {key: value}
+    _solve_exits_1_naming(data, np.array([[2j]]), key, tmp_path, capsys)
+
+
+def test_solver_config_refuses_a_boolean_max_iter():
+    with pytest.raises(ValueError, match="max_iter"):
+        SolverConfig(max_iter=True)
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("model", "base_dim", 2.7), ("model", "base_dim", True), ("model", "ambient_dim", 9),
+    ("beta", "dim", 2.5)])
+def test_problem_files_refuse_non_integral_and_mismatched_sizes(tmp_path, capsys,
+                                                                where, key, value):
+    # int() read base_dim 2.7 and a scaled identity's dim 2.5 as 2, and
+    # an ambient_dim of 9 beside a 4 x 4 X went unread
+    prob = semicircle_problem(OperatorModel.partial_trace(np.diag([1.0, 2.0, 3.0, 4.0]), 2),
+                              CPMap.scaled_identity(1.0, 2))
+    data = json.loads(json.dumps(problem_to_json(prob)))
+    assert problem_from_json(data)[0].model.ambient_dim == 4
+    data[where][key] = value
+    with pytest.raises(ValueError, match=key):
+        problem_from_json(data)
+    _solve_exits_1_naming(data, 2j * np.eye(2), key, tmp_path, capsys)

@@ -1,9 +1,9 @@
-"""Stacked solves split an expensive step across the CPUs, with the same bits.
+"""Stacked solves split into part solves across the CPUs, with the same bits.
 
-The gate SPLIT_MIN_S is forced to 0 (split every step of four entries or
-more but a solve's first) or to inf (never split), and the two solves are
-compared with np.array_equal.  On one CPU both run serially, and the tests check that no
-thread is started.
+The gate SPLIT_MIN_S is forced to 0 (split every solve of four entries or
+more after its first step) or to inf (never split), and the two solves are
+compared with np.array_equal.  On one CPU both run serially, and the tests
+check that no thread is started.
 """
 
 import multiprocessing
@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -31,22 +32,27 @@ FORMS = ("level 1", "level 2 dense", "level 2 block")
 
 @pytest.fixture
 def parts(monkeypatch):
-    """Count the parts that run on worker threads."""
+    """Count the part solves that run on threads of their own."""
     calls = []
     original = parallel._in_errstate
 
-    def counting(err, step, w, idx):
+    def counting(err, fn, w, *rest):
         calls.append((threading.current_thread().name, len(w)))
-        return original(err, step, w, idx)
+        return original(err, fn, w, *rest)
 
     monkeypatch.setattr(parallel, "_in_errstate", counting)
     return calls
+
+
+def _split_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("freeconv-split")]
 
 
 def _split_and_serial(monkeypatch, parts, solve):
     """solve() with the gate forced open, then closed; the parts a split ran."""
     monkeypatch.setattr(parallel, "SPLIT_MIN_S", 0.0)
     split = solve()
+    assert not _split_threads()
     ran = list(parts)
     monkeypatch.setattr(parallel, "SPLIT_MIN_S", np.inf)
     serial = solve()
@@ -126,9 +132,9 @@ def test_split_step_keeps_the_callers_numpy_error_state(monkeypatch, parts):
 
 
 def test_a_solve_in_a_split_step_finishes(monkeypatch, parts):
-    # each outer step runs a stacked solve; the outer step splits, and the
-    # part on a worker must not split its inner solve (with one worker it
-    # would wait for itself)
+    # each outer step runs a stacked solve; the outer solve splits, and the
+    # inner solves of its part on a thread of its own split again, on
+    # threads of their own
     monkeypatch.setattr(parallel, "SPLIT_MIN_S", 0.0)
     rng = np.random.default_rng(35)
     prob = _problem("beta", rng, 2)
@@ -153,23 +159,38 @@ def test_a_solve_in_a_split_step_finishes(monkeypatch, parts):
         assert any(name.startswith("freeconv-split") for name in inner)
 
 
-def test_concurrent_solves_share_one_pool_of_workers(monkeypatch):
-    # more threads than CPUs split their solves at once, from a process
-    # with no workers yet, with short switch intervals
+@pytest.mark.skipif(CPUS == 1, reason="a solve splits on two CPUs or more")
+@pytest.mark.parametrize("caller_raises", [False, True], ids=["part raises", "caller raises"])
+def test_a_part_that_raises_raises_at_the_caller_once_every_part_joined(
+        monkeypatch, caller_raises):
+    # the part on a freeconv-split thread raises after a pause; with
+    # caller_raises, the caller's own part raises first, at its first step,
+    # while the other part still runs
+    monkeypatch.setattr(parallel, "SPLIT_MIN_S", 0.0)
+    on_caller = []
+
+    def step(w, idx):
+        if threading.current_thread().name.startswith("freeconv-split"):
+            time.sleep(0.2)
+            raise ValueError("split part")
+        on_caller.append(len(w))
+        if caller_raises and len(on_caller) > 2:   # after the solve's first step
+            raise ValueError("caller part")
+        return w + 1j   # never converges
+
+    with pytest.raises(ValueError, match="caller part" if caller_raises else "split part"):
+        _picard_stack(step, np.full((SIZE, 1, 1), 1j), SolverConfig(max_iter=50))
+    assert not _split_threads()
+
+
+def test_concurrent_split_solves_each_get_the_serial_record(monkeypatch, parts):
+    # more threads than CPUs split their solves at once, with short switch
+    # intervals
     monkeypatch.setattr(parallel, "SPLIT_MIN_S", np.inf)
     rng = np.random.default_rng(38)
     prob = _problem("beta", rng, 2)
     b = np.concatenate([_points(rng, 2, "level 1") for _ in range(2)])[:SIZE]
     serial = solve_omega_stack(prob, b, SolverConfig(damping=0.5))
-    made = []
-
-    class Counting(parallel._Workers):
-        def __init__(self, count):
-            made.append(count)
-            super().__init__(count)
-
-    monkeypatch.setattr(parallel, "_Workers", Counting)
-    monkeypatch.setattr(parallel, "_workers", (None, 1, None))
     monkeypatch.setattr(parallel, "SPLIT_MIN_S", 0.0)
     results = []
     start = threading.Barrier(2 * CPUS + 2, timeout=60)
@@ -192,37 +213,38 @@ def test_concurrent_solves_share_one_pool_of_workers(monkeypatch):
     assert len(results) == len(threads)
     for got in results:
         _assert_identical(got, serial)
-    assert made == ([CPUS - 1] if CPUS > 1 else [])
+    assert bool(parts) == (CPUS > 1)
+    assert not _split_threads()
 
 
-def _child_solve(conn, prob, b):
-    record = solve_omega_stack(prob, b, SolverConfig(damping=0.5))
-    conn.send((record, parallel._workers[0] == os.getpid()))
+def _child_solve(conn, prob, b, parts):
+    parts.clear()
+    conn.send((solve_omega_stack(prob, b, SolverConfig(damping=0.5)), parts))
     conn.close()
 
 
-def test_a_forked_child_splits_with_its_own_workers(monkeypatch, parts):
+def test_a_forked_child_splits_as_its_parent_does(monkeypatch, parts):
     monkeypatch.setattr(parallel, "SPLIT_MIN_S", 0.0)
     rng = np.random.default_rng(36)
     prob = _problem("eta", rng, 2)
     b = np.concatenate([_points(rng, 2, "level 1") for _ in range(2)])[:SIZE]
     parent = solve_omega_stack(prob, b, SolverConfig(damping=0.5))
-    assert (parallel._workers[2] is not None) == (CPUS > 1)   # the parent's workers run
     ctx = multiprocessing.get_context("fork")
     here, there = ctx.Pipe(duplex=False)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)   # fork of a threaded process
-        child = ctx.Process(target=_child_solve, args=(there, prob, b))
+        child = ctx.Process(target=_child_solve, args=(there, prob, b, parts))
         child.start()
     there.close()
     try:
         assert here.poll(120), "the forked child did not finish its solve"
-        got, own_workers = here.recv()
+        got, child_parts = here.recv()
         child.join(60)
-        assert child.exitcode == 0 and own_workers
+        assert child.exitcode == 0
     finally:
         child.kill()
     _assert_identical(got, parent)
+    assert child_parts == parts and bool(parts) == (CPUS > 1)
 
 
 def test_one_cpu_starts_no_thread():
@@ -238,7 +260,6 @@ def test_one_cpu_starts_no_thread():
         "b = np.stack([random_upper(rng, 2) for _ in range(8)])\n"
         "solve = solve_omega_stack(random_problem(rng, n=2, m=3), b, SolverConfig(damping=0.5))\n"
         "assert solve.converged.all()\n"
-        "assert s._workers[1:] == (1, None), s._workers\n"
         "assert threading.active_count() == 1, threading.enumerate()\n"
     )
     here = Path(__file__).parent
