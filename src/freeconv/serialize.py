@@ -55,9 +55,9 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 def matrix_from_json(d: dict) -> np.ndarray:
     if "dim" in d:
-        rows = cols = int(d["dim"])
+        rows = cols = _integral(d, "dim")
     else:
-        rows, cols = int(d["rows"]), int(d["cols"])
+        rows, cols = _integral(d, "rows"), _integral(d, "cols")
     entries = d["entries"]
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise ValueError("matrix entries do not match the declared shape")
@@ -167,9 +167,8 @@ def problem_from_json(d: dict, base: SolverConfig | None = None
         a = matrix_from_json(d["a"]) if "a" in d else None
         problem = SubordinationProblem(model=model, a=a, **maps)
     elif variant == "power":
-        alpha = d["alpha"]
-        alpha = CPMap.scaled_identity(float(alpha), model.base_dim) \
-            if isinstance(alpha, (int, float)) else cp_map_from_json(alpha)
+        alpha = cp_map_from_json(d["alpha"]) if isinstance(d["alpha"], dict) \
+            else CPMap.scaled_identity(_real(d, "alpha"), model.base_dim)
         problem = SubordinationProblem.power(model, alpha)
     else:
         raise ValueError(f"unknown problem variant {variant!r}")
@@ -214,16 +213,16 @@ def _integral(d: dict, key: str) -> int:
     value = d[key]
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{key} must be an integer, got {value!r}")
-    return value
+    return int(value)
 
 
 def _real(d: dict, key: str) -> float:
     """d[key] as a float when it is a number, else a ValueError naming the
     key (float() would take true as 1.0 and "1e-10" as 1e-10)."""
     value = d[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{key} must be a number, got {value!r}")
     return float(value)
 

@@ -542,8 +542,8 @@ def _picard_stack(step: Callable[[np.ndarray, np.ndarray], np.ndarray],
     solve, omega and v_q, and the Anderson mixing and the Newton
     derivatives run in the parts.  With one CPU no thread is started, and
     an affinity mask (taskset -c 0) keeps a process on one.  The threads
-    add to those of a multi-threaded BLAS, which can then
-    oversubscribe the CPUs.
+    add to those of a multi-threaded BLAS, which can then oversubscribe
+    the CPUs.
     """
     w = np.array(w0, dtype=complex)
     n = len(w)

@@ -945,6 +945,15 @@ def test_solver_blocks_refuse_booleans_strings_and_fractions(fixtures, tmp_path,
     _solve_exits_1_naming(data, np.array([[2j]]), key, tmp_path, capsys)
 
 
+def test_solver_blocks_read_numpy_numbers():
+    # a block built in memory may hold numpy scalars, which float() and int()
+    # read too
+    cfg = solver_config_from_json({"tol": np.float32(0.5), "max_iter": np.int64(7),
+                                   "damping": np.int64(0)})
+    assert (cfg.tol, cfg.max_iter, cfg.damping) == (0.5, 7, 0.0)
+    assert type(cfg.max_iter) is int
+
+
 def test_solver_config_refuses_a_boolean_max_iter():
     with pytest.raises(ValueError, match="max_iter"):
         SolverConfig(max_iter=True)
@@ -965,3 +974,28 @@ def test_problem_files_refuse_non_integral_and_mismatched_sizes(tmp_path, capsys
     with pytest.raises(ValueError, match=key):
         problem_from_json(data)
     _solve_exits_1_naming(data, 2j * np.eye(2), key, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("sizes, rows, key", [
+    ({"dim": 2.5}, 2, "dim"), ({"dim": True}, 1, "dim"), ({"dim": "2"}, 2, "dim"),
+    ({"rows": 2, "cols": 2.5}, 2, "cols"), ({"rows": True, "cols": 1}, 1, "rows")])
+def test_matrix_files_refuse_non_integral_sizes(sizes, rows, key):
+    # int() read "dim": 2.5 as 2 and true as 1, so a matrix with entries of
+    # the truncated size loaded
+    entries = [[[1.0, 0.0]] * rows] * rows
+    assert matrix_from_json({"dim": np.int64(rows), "entries": entries}).shape == (rows, rows)
+    assert matrix_from_json({"dim": float(rows), "entries": entries}).shape == (rows, rows)
+    with pytest.raises(ValueError, match=f"{key} must be an integer"):
+        matrix_from_json({**sizes, "entries": entries})
+
+
+@pytest.mark.parametrize("alpha", [True, "2"])
+def test_power_problem_files_refuse_a_boolean_or_string_alpha(tmp_path, capsys, alpha):
+    # isinstance(True, int) holds, so "alpha": true read as the scaled
+    # identity 1.0
+    power = SubordinationProblem.power(scalar_to_model(ScalarMeasure.symmetric_bernoulli()),
+                                       CPMap.scaled_identity(2.0, 1))
+    data = {**problem_to_json(power), "alpha": alpha}
+    with pytest.raises(ValueError, match="alpha must be a number"):
+        problem_from_json(data)
+    _solve_exits_1_naming(data, np.array([[2j]]), "alpha", tmp_path, capsys)

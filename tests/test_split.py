@@ -117,8 +117,9 @@ def test_split_vq_solves_match_serial_solves(monkeypatch, parts, variant, n, lev
 
 
 def test_split_step_keeps_the_callers_numpy_error_state(monkeypatch, parts):
-    # every step overflows; under the caller's errstate the parts on the
-    # workers do not warn either (RuntimeWarnings are errors in this suite)
+    # every step overflows; under the caller's errstate the parts on
+    # threads of their own do not warn either (RuntimeWarnings are errors in
+    # this suite)
     monkeypatch.setattr(parallel, "SPLIT_MIN_S", 0.0)
 
     def step(w, idx):
