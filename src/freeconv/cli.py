@@ -71,7 +71,7 @@ def _load_matrix(path, what: str = "matrix") -> np.ndarray:
 def _resolve_config(args, base: SolverConfig = DEFAULT_CONFIG) -> SolverConfig:
     """base with the solver flags given on the command line in place of its
     values; every other field of base is kept."""
-    flags = {name: getattr(args, name) for name in ("tol", "max_iter", "damping")}
+    flags = {name: getattr(args, name, None) for name in ("tol", "max_iter", "damping")}
     return replace(base, **{name: v for name, v in flags.items() if v is not None})
 
 
@@ -206,7 +206,7 @@ def _cmd_rtransform(args) -> int:
         R = r_transform_eval(model, g, cfg)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    _write(args, {"R": matrix_to_json(R)}, {"solver": solver_config_to_json(cfg)})
+    _write(args, {"R": matrix_to_json(R)}, {"solver": {"tol": cfg.tol}})
     print("wrote R")
     return 0
 
@@ -301,22 +301,22 @@ def _cmd_validate_rmt(args) -> int:
 
 _REQUIRED = {"required": True}
 _OPTIONAL = {"default": None}
+_SOLVER_FLAGS = {"--tol": float, "--max-iter": int, "--damping": float}
 
 
 def _subcommand(sub, name: str, func, help: str, files: dict, flags: dict | None = None,
-                solver: bool = True) -> None:
+                solver: tuple[str, ...] = tuple(_SOLVER_FLAGS)) -> None:
     """Add a subcommand: its input-file flags, which are also its provenance
     inputs, its other flags (both flag -> add_argument keywords) and --out.
-    A command that solves a fixed point (solver=True) requires --out and
-    takes the solver flags; otherwise --out is optional."""
+    A command that solves a fixed point takes the solver flags it uses
+    (solver, all three by default) and requires --out; one without solver
+    flags takes --out as an option."""
     p = sub.add_parser(name, help=help)
     for flag, kwargs in {**files, **(flags or {})}.items():
         p.add_argument(flag, **kwargs)
-    p.add_argument("--out", required=solver, default=None)
-    if solver:
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--max-iter", type=int, default=None)
-        p.add_argument("--damping", type=float, default=None)
+    p.add_argument("--out", required=bool(solver), default=None)
+    for flag in solver:
+        p.add_argument(flag, type=_SOLVER_FLAGS[flag], default=None)
     p.set_defaults(func=func, files=[flag[2:] for flag in files])
 
 
@@ -353,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
                 {"--t": {"type": float, "default": None, "help": "scalar covariance"}})
     _subcommand(sub, "rtransform", _cmd_rtransform, "evaluate the R-transform near zero",
                 {"--model": _REQUIRED,
-                 "--arg": {"required": True, "help": "path to the argument matrix file"}})
+                 "--arg": {"required": True, "help": "path to the argument matrix file"}},
+                solver=("--tol",))
     _subcommand(sub, "diagnose", _cmd_diagnose,
                 "spectrum certificates for the difference quotient maps",
                 {"--problem": _REQUIRED, "--b1": _REQUIRED, "--b2": _REQUIRED,
@@ -369,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     _subcommand(sub, "validate-rmt", _cmd_validate_rmt,
                 "sample an ensemble and compare against a density sheet",
                 {"--ensemble": _REQUIRED, "--against": _REQUIRED},
-                {"--threshold": {"type": float, "default": 0.05}}, solver=False)
+                {"--threshold": {"type": float, "default": 0.05}}, solver=())
     _subcommand(sub, "axioms", _cmd_axioms,
                 "direct-sum and similarity deviations for G, h, omega",
                 {"--problem": _REQUIRED, "--a": _REQUIRED, "--b": _REQUIRED, "--T": _OPTIONAL})

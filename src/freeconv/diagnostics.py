@@ -24,6 +24,7 @@ import numpy as np
 
 from .algebra import (
     POSITIVITY_TOL,
+    amplification_level,
     as_element,
     dag,
     direct_sum,
@@ -178,7 +179,8 @@ def dvg_spectrum(problem: SubordinationProblem, q, u,
     """
     v = solve_vq(problem, q, u, cfg).require("v_q solve did not converge")
     u = require_hermitian(u, name="u")
-    eigs = np.linalg.eigvals(_gq_jacobians(problem, u[None], v[None], 1)[0][0])  # D_v g_q
+    level = amplification_level(u, problem.base_dim)
+    eigs = np.linalg.eigvals(_gq_jacobians(problem, u[None], v[None], level)[0][0])  # D_v g_q
     radius = float(np.max(np.abs(eigs)))
     resolvent_eigs = 1.0 / (1.0 - eigs)
     return SpectrumCertificate(
@@ -221,7 +223,8 @@ def vq_derivative(problem: SubordinationProblem, q, u, c,
     d = u.shape[0]
     v = solve_gq_stack(problem, q[None], u[None], cfg).require("v_q solve did not converge")
 
-    dv, du = (J[0] for J in _gq_jacobians(problem, u[None], v, 1))
+    level = amplification_level(u, problem.base_dim)
+    dv, du = (J[0] for J in _gq_jacobians(problem, u[None], v, level))
     implicit = unvec(np.linalg.solve(np.eye(d * d) - dv, du @ vec(c)), d)
 
     lam = 1.0 / (opnorm(c) or 1.0)

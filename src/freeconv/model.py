@@ -195,7 +195,12 @@ class OperatorModel:
         return self.weights @ np.abs(self.spectrum[1]) ** 2
 
     def resolvent(self, b, level: int = 1):
-        """(b - X otimes 1_k)^{-1}, batched; block by block for a BlockUpper b."""
+        """(b - X otimes 1_k)^{-1}, batched; block by block for a BlockUpper b.
+        A point whose size is not level * base_dim is a ValueError."""
+        d = level * self.base_dim
+        if np.shape(b)[-2:] != (d, d):
+            raise ValueError(f"resolvent point of size {np.shape(b)[-1]} does not match level "
+                             f"{level} over base_dim {self.base_dim} (size {d})")
         if isinstance(b, BlockUpper):
             Xh = identity_kron(level // 2, self.X)
             return inv(self.embed(b).map_blocks(lambda blk: blk - Xh, lambda c: c), level)

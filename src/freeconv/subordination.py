@@ -112,8 +112,8 @@ class SolverConfig:
     start: np.ndarray | None = None
 
     def __post_init__(self):
-        if not (self.tol > 0):
-            raise ValueError("tol must be positive")
+        if not (0 < self.tol < np.inf):
+            raise ValueError("tol must be positive and finite")
         if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer))
                 or self.max_iter < 1):
             raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
@@ -363,25 +363,11 @@ def _newton_points(derivative, w: np.ndarray, diff: np.ndarray,
     return w + unvec(x[..., 0], w.shape[-1])
 
 
-def _positive_definite(part: Callable[[np.ndarray], np.ndarray]):
-    """Mask of the finite entries w of a stack with part(w) positive definite
-    (for 1 x 1 entries, read off the one real number)."""
-
-    def admissible(w: np.ndarray) -> np.ndarray:
-        ok = np.all(np.isfinite(w), axis=(-2, -1))
-        p = part(w[ok])
-        ok[ok] = (p[:, 0, 0].real if w.shape[-1] == 1 else np.linalg.eigvalsh(p)[:, 0]) > 0
-        return ok
-
-    return admissible
-
-
-_in_upper_halfplane = _positive_definite(imag_part)
-_in_right_halfplane = _positive_definite(real_part)
-
-
-def _domain(admissible, level: int, *stacks: np.ndarray):
-    """The admissible test of a solve whose input stacks are given.
+def _admissible(part: Callable[[np.ndarray], np.ndarray], level: int = 1,
+                stacks: tuple = (), mirrored: bool = False) -> Callable[[np.ndarray], np.ndarray]:
+    """The admissible test of one solve, built once its input stacks and its
+    start are known: the mask of the finite entries w of a stack with part(w)
+    positive definite (for 1 x 1 entries, read off the one real number).
 
     At an even level where every stack has an exactly zero lower-left half
     block, the fixed point is block upper triangular [[w1, c], [0, w2]].
@@ -389,19 +375,31 @@ def _domain(admissible, level: int, *stacks: np.ndarray):
     w1 and w2 do, whatever the size of c (Kaliuzhnyi-Verbovetskyi and
     Vinnikov, Foundations of Free Noncommutative Function Theory, 2014), and
     the corner may be large against them, so the test is then taken on the
-    diagonal blocks alone, with a finite corner.  It also zeroes the lower-left
-    block that a Newton step leaves at rounding size, so steps stay on blocks.
+    diagonal blocks alone, with a finite corner.  The test first zeroes the
+    lower-left block that a Newton step leaves at rounding size, so steps
+    stay on blocks.  For a mirrored solve (see solve_gq_stack) it then
+    replaces each candidate, in place, by its real part in the sense of the
+    solve's dag, dense(real_part(split(w, level))).
     """
-    if not all(is_block_upper(s, level) for s in stacks):
-        return admissible
-    d = stacks[0].shape[-1] // 2
+    d = stacks[0].shape[-1] // 2 if stacks and all(is_block_upper(s, level) for s in stacks) else 0
 
-    def on_blocks(w: np.ndarray) -> np.ndarray:
-        w[..., d:, :d] = 0.0
-        return (admissible(w[..., :d, :d]) & admissible(w[..., d:, d:])
+    def positive(w: np.ndarray) -> np.ndarray:
+        ok = np.all(np.isfinite(w), axis=(-2, -1))
+        p = part(w[ok])
+        ok[ok] = (p[:, 0, 0].real if w.shape[-1] == 1 else np.linalg.eigvalsh(p)[:, 0]) > 0
+        return ok
+
+    def admissible(w: np.ndarray) -> np.ndarray:
+        if d:
+            w[..., d:, :d] = 0.0
+        if mirrored:
+            w[...] = dense(real_part(split(w, level)))
+        if not d:
+            return positive(w)
+        return (positive(w[..., :d, :d]) & positive(w[..., d:, d:])
                 & np.all(np.isfinite(w[..., :d, d:]), axis=(-2, -1)))
 
-    return on_blocks
+    return admissible
 
 
 # fewest steps on the M_3 density sheet of the benchmark among depths 1-6:
@@ -484,7 +482,7 @@ class _AndersonHistory:
 def _picard_stack(step: Callable[[np.ndarray, np.ndarray], np.ndarray],
                   w0: np.ndarray, cfg: SolverConfig,
                   derivative: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-                  admissible: Callable[[np.ndarray], np.ndarray] = _in_upper_halfplane,
+                  admissible: Callable[[np.ndarray], np.ndarray] = _admissible(imag_part),
                   anderson: bool = False) -> SolveStack:
     """Solve w = step(w) entrywise on a batch.
 
@@ -686,25 +684,27 @@ def _stacks(**stacks) -> list[np.ndarray]:
     return arrays
 
 
-def _start_stack(cfg: SolverConfig, default: np.ndarray, domain: Callable):
-    """The first iterate of a solve and its admissible test domain(start):
-    the default start, or cfg.start broadcast to its shape as a new array,
-    whose entries must each pass the test, since a start outside the
-    half-plane can reach a fixed point outside it (a ValueError names the
-    shapes or the entries)."""
+def _start_stack(cfg: SolverConfig, default: np.ndarray) -> np.ndarray:
+    """The first iterate of a solve: the default start, or cfg.start
+    broadcast to its shape as a new array (a ValueError names the shapes)."""
     if cfg.start is None:
-        return default, domain(default)
+        return default
     start = np.asarray(cfg.start, dtype=complex)
     try:
-        start = np.broadcast_to(start, default.shape).copy()
+        return np.broadcast_to(start, default.shape).copy()
     except ValueError:
         raise ValueError(f"start has shape {start.shape}, which does not broadcast "
                          f"to the stack's shape {default.shape}") from None
-    admissible = domain(start)
-    bad = np.flatnonzero(~admissible(start))
-    if bad.size:
+
+
+def _require_start(cfg: SolverConfig, start: np.ndarray, admissible):
+    """The admissible test of a solve, returned once the start that cfg
+    gives, if any, passes it in each entry: a start outside the half-plane
+    can reach a fixed point outside it (a ValueError names the entries)."""
+    bad = np.flatnonzero(~admissible(start)) if cfg.start is not None else []
+    if len(bad):
         raise ValueError(f"start lies outside the solve's half-plane at entries {bad.tolist()}")
-    return start, admissible
+    return admissible
 
 
 def solve_omega_stack(problem: SubordinationProblem, b_stack: np.ndarray,
@@ -724,8 +724,8 @@ def solve_omega_stack(problem: SubordinationProblem, b_stack: np.ndarray,
     """
     b_stack, = _stacks(b=b_stack)
     k = amplification_level(b_stack, problem.base_dim) if level is None else level
-    w0, admissible = _start_stack(
-        cfg, b_stack, lambda w0: _domain(_in_upper_halfplane, k, b_stack, w0))
+    w0 = _start_stack(cfg, b_stack)
+    admissible = _require_start(cfg, w0, _admissible(imag_part, k, (b_stack, w0)))
     scalar_sum = problem.variant == "generic" and problem.base_dim == 1
     record = None if scalar_sum else cauchy_out
     solve = _picard_stack(_omega_step(problem, b_stack, k, record), w0, cfg,
@@ -775,10 +775,15 @@ def _vq_arguments(q, u) -> tuple[np.ndarray, np.ndarray]:
     return q, u
 
 
-def _selfadjoint(x) -> bool:
-    """x = dag(x) within HERMITIAN_TOL, each entry of a stack against its own
-    norm (for a BlockUpper: [[a, c], [0, a*]], c = c*)."""
-    pairs = ((x.top, x.bottom), (x.corner, x.corner)) if isinstance(x, BlockUpper) else ((x, x),)
+def _selfadjoint(*points) -> bool:
+    """Whether dag fixes every point within HERMITIAN_TOL, each entry of a
+    stack against its own norm, with one dag for all of them: either every
+    point is a BlockUpper, whose dag swaps its halves ([[a, c], [0, a*]],
+    c = c*), or none is."""
+    if len({isinstance(x, BlockUpper) for x in points}) > 1:
+        return False
+    pairs = [pair for x in points for pair in (
+        ((x.top, x.bottom), (x.corner, x.corner)) if isinstance(x, BlockUpper) else ((x, x),))]
     return all(np.all(np.linalg.norm(a - dag(b), axis=(-2, -1))
                       <= HERMITIAN_TOL * (1.0 + np.linalg.norm(a, axis=(-2, -1))))
                for a, b in pairs)
@@ -795,7 +800,7 @@ def g_q(problem: SubordinationProblem, q, u, v, level: int = 1):
     if any(np.shape(x)[-2:] != (d, d) for x in (q, u, v)):
         raise ValueError(f"g_q at level {level} takes points of size {d}, got shapes "
                          f"{np.shape(q)}, {np.shape(u)} and {np.shape(v)}")
-    return _g_q(problem, q, u, v, level, _selfadjoint(u) and _selfadjoint(v))
+    return _g_q(problem, q, u, v, level, _selfadjoint(u, v))
 
 
 def _g_q(problem: SubordinationProblem, q, u, v, level: int, mirrored: bool):
@@ -823,37 +828,33 @@ def _gq_step(problem: SubordinationProblem, q, u, level: int, mirrored: bool):
     return step
 
 
-def _gq_jacobians(problem: SubordinationProblem, u: np.ndarray, v: np.ndarray,
+def _gq_jacobians(problem: SubordinationProblem, u, v: np.ndarray,
                   level: int, mirrored: bool | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(D_v g_q, D_u g_q) on vec(M_d), d = n k at level k, at each entry of
-    the stacks u and v; q drops out.
+    the stacks u and v; q drops out.  u is a dense stack, or the split u
+    entries of a solve that passes its mirrored.
 
     With J+- = Dh(u +- iv), D_v g_q = (J+ + J-)/2 and D_u g_q =
-    (J+ - J-)/2i.  For selfadjoint u and v (mirrored; tested here when
-    None), J- = P conj(J+) P with P the transpose on vec, so one Jacobian
-    serves; otherwise one _jacobians call takes both points.
+    (J+ - J-)/2i.  When the split u and v equal their dag (mirrored; tested
+    here when None), h(u - iv) = dag(h(u + iv)), so J- = P conj(J+) P with P
+    the vec form of dag: the transpose, composed with the swap of the halves
+    when u is a BlockUpper.  One Jacobian then serves; otherwise one
+    _jacobians call takes both points.
     """
     if mirrored is None:
-        mirrored = _selfadjoint(u) and _selfadjoint(v)
-    if mirrored:
-        jp = _jacobians(lambda x: problem.h_map(x, 2 * level), u + 1j * v)
-        p = np.arange(jp.shape[-1]).reshape(u.shape[-2:]).T.ravel()   # P on vec
-        jm = jp[..., p[:, None], p].conj()
-    else:
-        pair = np.concatenate([u + 1j * v, u - 1j * v])
+        u = split(u, level)
+        mirrored = _selfadjoint(u, split(v, level))
+    w = dense(u) + 1j * v
+    if not mirrored:
+        pair = np.concatenate([w, dense(u) - 1j * v])
         jp, jm = np.split(_jacobians(lambda x: problem.h_map(x, 2 * level), pair), 2)
+    else:
+        jp = _jacobians(lambda x: problem.h_map(x, 2 * level), w)
+        p = np.arange(jp.shape[-1]).reshape(w.shape[-2:]).T    # the transpose on vec,
+        half = len(p) // 2 if isinstance(u, BlockUpper) else 0  # then the swap of the halves
+        p = np.roll(p, half, (0, 1)).ravel()
+        jm = jp[..., p[:, None], p].conj()
     return 0.5 * (jp + jm), -0.5j * (jp - jm)
-
-
-def _selfadjoint_candidates(admissible):
-    """The admissible test of a solve with selfadjoint iterates: it first
-    replaces each candidate v, in place, by its selfadjoint part (v + v*)/2."""
-
-    def test(v: np.ndarray) -> np.ndarray:
-        v[...] = 0.5 * (v + dag(v))
-        return admissible(v)
-
-    return test
 
 
 def solve_gq_stack(problem: SubordinationProblem, q_stack: np.ndarray,
@@ -863,31 +864,27 @@ def solve_gq_stack(problem: SubordinationProblem, q_stack: np.ndarray,
     of one shape (B, d, d) with finite entries (ValueError otherwise); u
     entries may be non-selfadjoint amplifications.
 
-    When q, u and the start are selfadjoint, so is every iterate, and each
-    step takes h(u - iv) as dag(h(u + iv)): one h_map call.  That is tested
-    once, here, and not at every step: on the split points for the steps,
-    and on the dense points for the Newton derivatives, which mirror through
-    the transpose on vec.  A Newton step solves a complex linear system, so
-    its candidate is selfadjoint only up to rounding, and the mirrored step,
-    which takes h(u - iv) = dag(h(u + iv)), would let that defect grow about
-    a hundredfold per step while the positive definite test does not see it.
-    So, when the dense points mirror, the test first replaces each
-    candidate v by (v + v*)/2.
+    When q, u and the start equal their dag, so does every iterate, and each
+    step takes h(u - iv) as dag(h(u + iv)): one h_map call.  That is decided
+    once, here, on the split points, where dag swaps the halves of a block
+    point, and the one decision (mirrored) serves the steps, the Newton
+    derivatives, which mirror through the vec form of that dag, and the
+    admissible test.  A Newton step solves a complex linear system, so its
+    candidate equals its dag only up to rounding, and the mirrored step
+    would let that defect grow about a hundredfold per step while the
+    positive definite test does not see it.  So the test of a mirrored solve
+    first replaces each candidate v by its real part (v + dag(v))/2.
     """
     q_stack, u_stack = _stacks(q=q_stack, u=u_stack)
     k = amplification_level(u_stack, problem.base_dim) if level is None else level
-    v0, admissible = _start_stack(
-        cfg, np.broadcast_to(np.eye(u_stack.shape[-1]), u_stack.shape) + q_stack,
-        lambda v0: _domain(_in_right_halfplane, k, q_stack, u_stack, v0))
+    v0 = _start_stack(cfg, np.broadcast_to(np.eye(u_stack.shape[-1]), u_stack.shape) + q_stack)
     points = (q_stack, u_stack, v0)
     q, u, start = (split(x, k) for x in points)
-    mirrored = all(_selfadjoint(x) for x in (q, u, start))
-    dense_mirrored = all(_selfadjoint(x) for x in points)
-    if dense_mirrored:
-        admissible = _selfadjoint_candidates(admissible)
+    mirrored = _selfadjoint(q, u, start)
+    admissible = _require_start(cfg, v0, _admissible(real_part, k, points, mirrored))
     return _picard_stack(_gq_step(problem, q, u, k, mirrored), v0, cfg,
-                         lambda v, idx: _gq_jacobians(problem, u_stack[idx], v, k,
-                                                      dense_mirrored)[0],
+                         lambda v, idx: _gq_jacobians(problem, _entries(u, idx), v, k,
+                                                      mirrored)[0],
                          admissible)
 
 

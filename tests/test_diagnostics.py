@@ -22,7 +22,7 @@ from freeconv import (
     solve_vq,
     vq_derivative,
 )
-from freeconv.algebra import linearize_on_basis, opnorm
+from freeconv.algebra import direct_sum, linearize_on_basis, opnorm
 from freeconv.subordination import DEFAULT_CONFIG, _omega_derivative
 
 from _oracles import point_dvg_eigenvalue, point_gamma_omega
@@ -579,6 +579,34 @@ def test_v_update_certificates_of_a_matrix_power_problem():
         out = vq_derivative(prob, q, u, c)
         assert out.agreement_error <= 1e-10
         assert np.max(np.abs(out.value - out.value.conj().T)) <= 1e-10
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: random_problem(rng, n=2, m=2),
+    lambda rng: random_power_problem(rng, n=2, m=2),
+], ids=["generic", "power"])
+def test_v_update_certificates_read_their_level_from_their_points(make):
+    # at u1 (+) u2 over M_2 both certificates differentiated at level 1
+    # after a level-2 solve, which ended in numpy's broadcast error
+    rng = np.random.default_rng(3)
+    prob = make(rng)
+    q = 0.1 * np.eye(2)
+    u1, u2 = random_hermitian(rng, 2), random_hermitian(rng, 2)
+    apart = [dvg_spectrum(prob, q, u) for u in (u1, u2)]
+    both = dvg_spectrum(prob, direct_sum(q, q), direct_sum(u1, u2))
+    # D_v g_q at a direct sum acts on the four blocks: its 16 eigenvalues
+    # hold those of both diagonal blocks
+    assert len(both.eigenvalues) == 16
+    for ev in np.concatenate([cert.eigenvalues for cert in apart]):
+        assert np.min(np.abs(both.eigenvalues - ev)) <= 1e-10
+    assert both.spectral_radius >= max(cert.spectral_radius for cert in apart) - 1e-12
+    c = random_hermitian(rng, 4)
+    out = vq_derivative(prob, direct_sum(q, q), direct_sum(u1, u2), c)
+    assert out.agreement_error <= 1e-10
+    # and the derivative's diagonal blocks are the level-1 derivatives
+    for block, u in ((slice(0, 2), u1), (slice(2, 4), u2)):
+        want = vq_derivative(prob, q, u, c[block, block]).value
+        assert np.max(np.abs(out.value[block, block] - want)) <= 1e-10
 
 
 def test_nc_axioms_identity_conjugation_and_coinciding_points():

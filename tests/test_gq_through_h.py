@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import freeconv.subordination as subordination
 from freeconv import (CPMap, OperatorModel, ScalarMeasure, SolverConfig, SubordinationProblem,
-                      phi_q, scalar_to_model, solve_vq)
+                      phi_q, scalar_to_model, solve_vq, vq_derivative)
 from freeconv.algebra import (BlockUpper, dense, identity_kron, imag_part, split, unvec,
                               upper_block, vec)
 from freeconv.subordination import _gq_jacobians, _newton_budget, g_q, solve_gq_stack
@@ -167,24 +167,107 @@ def test_each_entry_of_a_stack_is_tested_for_selfadjointness():
     _close(stacked.value[1], alone.value[0], 1e-12)
 
 
-@pytest.mark.parametrize("make", [
+NEAR_EDGE_PROBLEMS = pytest.mark.parametrize("make", [
     lambda: random_problem(np.random.default_rng(3), n=2, m=2),
     lambda: random_power_problem(np.random.default_rng(1), 2, 3),
     lambda: random_problem(np.random.default_rng(5), n=3, m=2),
     lambda: random_power_problem(np.random.default_rng(2), 3, 2),
 ], ids=["generic M_2", "power M_2", "generic M_3", "power M_3"])
-@pytest.mark.parametrize("q", [1e-3, 1e-6, 1e-9, 1e-12])
-def test_damped_vq_solves_near_the_edge_keep_their_iterates_selfadjoint(make, q):
-    # 60 points u of growing norm reach the edge of the support; a Newton
-    # candidate is selfadjoint only up to rounding, and without taking its
-    # selfadjoint part the mirrored steps blew that defect up until solves
-    # ran out of steps with v not positive (at 1e-3 up to 20 000 steps)
-    prob = make()
-    n = prob.base_dim
+NEAR_EDGE_CFG = SolverConfig(damping=0.5, max_iter=400)
+
+
+def _near_edge_points(n):
+    """60 points u of growing norm, which reach the edge of the support, and
+    60 selfadjoint directions c drawn after them."""
     rng = np.random.default_rng(0)
     u = np.stack([random_hermitian(rng, n, scale=s) for s in np.linspace(0.2, 4, 60)])
+    return u, np.stack([random_hermitian(rng, n) for _ in u])
+
+
+@NEAR_EDGE_PROBLEMS
+@pytest.mark.parametrize("q", [1e-3, 1e-6, 1e-9, 1e-12])
+def test_damped_vq_solves_near_the_edge_keep_their_iterates_selfadjoint(make, q):
+    # a Newton candidate is selfadjoint only up to rounding, and without
+    # taking its selfadjoint part the mirrored steps blew that defect up
+    # until solves ran out of steps with v not positive (at 1e-3 up to
+    # 20 000 steps)
+    prob = make()
+    n = prob.base_dim
+    u, _ = _near_edge_points(n)
     v, iterations, _, converged = solve_gq_stack(
-        prob, np.broadcast_to(q * np.eye(n), u.shape), u, SolverConfig(damping=0.5, max_iter=400))
+        prob, np.broadcast_to(q * np.eye(n), u.shape), u, NEAR_EDGE_CFG)
     assert converged.all() and iterations.max() <= 80, np.flatnonzero(~converged)
     assert np.array_equal(v, np.conj(np.swapaxes(v, -1, -2)))
     assert np.all(np.linalg.eigvalsh(v)[:, 0] > 0)
+
+
+@NEAR_EDGE_PROBLEMS
+@pytest.mark.parametrize("q", [1e-3, 1e-6, 1e-9, 1e-12])
+def test_amplified_vq_solves_near_the_edge_converge_with_equal_diagonal_blocks(make, q):
+    # [[u, c], [0, u]] equals its dag, which swaps the halves of a block
+    # point, so its steps mirror; without the projection of its Newton
+    # candidates onto (v + dag(v))/2, 2-4 of these 60 entries ran out of
+    # steps over M_2, with diagonal blocks up to 7e-2 apart
+    prob = make()
+    n = prob.base_dim
+    u, c = _near_edge_points(n)
+    amplified = upper_block(u, c, u)
+    v, iterations, _, converged = solve_gq_stack(
+        prob, np.broadcast_to(q * np.eye(2 * n), amplified.shape), amplified, NEAR_EDGE_CFG)
+    assert converged.all(), np.flatnonzero(~converged)
+    assert iterations.max() <= _newton_budget(2 * n) + 12
+    assert not v[:, n:, :n].any()
+    level1 = solve_gq_stack(prob, np.broadcast_to(q * np.eye(n), u.shape), u,
+                            NEAR_EDGE_CFG).require("level-1 solve failed")
+    assert np.max(np.abs(v[:, :n, :n] - v[:, n:, n:])) <= 1e-12
+    assert np.max(np.abs(v[:, :n, :n] - level1)) <= 1e-10
+
+
+@pytest.mark.parametrize("entry", [34, 54])
+def test_vq_derivative_near_the_edge_at_damping_one_half(entry):
+    # the amplified route of the reproducer's entries 34 and 54 ran out of
+    # steps (20 000 by default) while its level-1 solve converged
+    prob = random_problem(np.random.default_rng(3), n=2, m=2)
+    u, c = _near_edge_points(2)
+    out = vq_derivative(prob, 1e-3 * np.eye(2), u[entry], c[entry], NEAR_EDGE_CFG)
+    assert out.agreement_error <= 1e-8
+
+
+def test_a_solve_whose_points_split_in_different_forms_does_not_mirror():
+    # u = [[u1, c], [0, u1]] equals its dag as a block point, while q, with a
+    # nonzero lower-left block, is selfadjoint as a dense one: the two dags
+    # differ, and mirroring under both took h(u - iv) as dag(h(u + iv)) and
+    # converged to a v with an equation residual of 0.2
+    prob = random_problem(np.random.default_rng(3), n=2, m=2)
+    rng = np.random.default_rng(1)
+    u1, c = random_hermitian(rng, 2), random_hermitian(rng, 2)
+    u = upper_block(u1, c, u1)[None]
+    q = (0.5 * np.eye(4) + random_psd(rng, 4, scale=0.1))[None]
+    assert q[:, 2:, :2].any()
+    v = solve_gq_stack(prob, q, u).require("v_q solve failed")
+    _close(v, q + 0.5j * (prob.h_map(u - 1j * v, 2) - prob.h_map(u + 1j * v, 2)), 1e-11)
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: random_problem(rng, n=2, m=3),
+    lambda rng: random_power_problem(rng, 2, 2),
+], ids=["generic", "power"])
+def test_gq_jacobians_of_block_points_mirror_through_the_half_swap(monkeypatch, make):
+    # [[u, c], [0, u]] and [[v, e], [0, v]] equal their dag, which swaps the
+    # halves of a block point, so Dh(u - iv) = P conj(Dh(u + iv)) P with P
+    # the transpose composed with that swap on vec: one Jacobian point per
+    # entry gives the pair path's derivatives (the transpose alone is off by
+    # 1.1 here, against entries of size 1.9)
+    rng = np.random.default_rng(4)
+    prob = make(rng)
+    n = prob.base_dim
+    x = [random_hermitian(rng, n) for _ in range(3)]
+    u = np.stack([upper_block(a, random_hermitian(rng, n), a) for a in x])
+    y = [_positive(rng, n) for _ in x]
+    v = np.stack([upper_block(a, random_hermitian(rng, n, scale=0.3), a) for a in y])
+    pair = _gq_jacobians(prob, u, v, 2, False)
+    calls = _record(monkeypatch, subordination, "_jacobians")
+    for mirrored in (_gq_jacobians(prob, u, v, 2), _gq_jacobians(prob, split(u, 2), v, 2, True)):
+        for got, want in zip(mirrored, pair):
+            _close(got, want, 1e-13)
+    assert [len(args[1]) for args in calls] == [len(u), len(u)]

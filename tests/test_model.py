@@ -14,7 +14,7 @@ from freeconv import (
     moment_growth_bound,
     scalar_to_model,
 )
-from freeconv.algebra import dag, identity_kron, imag_part, opnorm
+from freeconv.algebra import BlockUpper, dag, identity_kron, imag_part, opnorm
 
 from helpers import random_hermitian, random_model, random_psd, random_upper
 
@@ -156,6 +156,21 @@ def test_scalar_base_spectral_sums_match_dense_resolvents(level, drawn):
     h_dense = eta.apply(np.linalg.inv(identity_kron(level, model.X) - model.embed(b)), level)
     for got, want in ((model.cauchy(b, level), G_dense), (problem.h_map(b, level), h_dense)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("point, level", [
+    (1j * np.eye(3), 1),
+    (1j * np.eye(4), 1),
+    (BlockUpper(1j * np.eye(3), np.zeros((3, 3)), 1j * np.eye(3)), 2),
+], ids=["dense", "dense level", "block"])
+def test_resolvent_names_a_point_of_the_wrong_size(point, level):
+    # the size is checked against level * base_dim before the subtraction,
+    # which raised numpy's broadcast error
+    model = OperatorModel.partial_trace(np.eye(4), 2)
+    size = point.shape[-1]
+    with pytest.raises(ValueError, match=f"size {size} does not match level {level} "
+                                         f"over base_dim 2"):
+        model.cauchy(point, level)
 
 
 def test_resolvent_identity():

@@ -945,6 +945,37 @@ def test_solver_blocks_refuse_booleans_strings_and_fractions(fixtures, tmp_path,
     _solve_exits_1_naming(data, np.array([[2j]]), key, tmp_path, capsys)
 
 
+def test_a_non_finite_tol_is_an_input_error(fixtures, tmp_path, capsys):
+    # json reads Infinity, and --tol takes "inf": either let a solve stop as
+    # converged after one step, at the residual 0.5 of its start
+    data = load_json(fixtures["gamma.json"])
+    data["solver"] = {"tol": float("inf")}
+    problem, out = tmp_path / "p.json", tmp_path / "w.json"
+    problem.write_text(json.dumps(data))
+    assert "Infinity" in problem.read_text()
+    for argv in (["--problem", str(problem)],
+                 ["--problem", fixtures["gamma.json"], "--tol", "inf"]):
+        assert run_command(["solve", *argv, "--point", fixtures["b_2i.json"],
+                            "--out", str(out)]) == 1
+        assert "tol must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_cli_rtransform_takes_tol_and_records_only_it(fixtures, tmp_path, capsys):
+    # a model solves no fixed point and the outer solve takes at most 60
+    # steps, so --max-iter and --damping would change nothing
+    out = tmp_path / "r.json"
+    argv = ["rtransform", "--model", fixtures["bern.json"], "--arg", fixtures["g_small.json"],
+            "--out", str(out)]
+    assert run_command(argv + ["--tol", "1e-10"]) == 0
+    assert _provenance_of(out)["config"] == {"solver": {"tol": 1e-10}}
+    out.unlink()
+    for flag, value in (("--max-iter", "5"), ("--damping", "0.5")):
+        assert run_command(argv + [flag, value]) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_solver_blocks_read_numpy_numbers():
     # a block built in memory may hold numpy scalars, which float() and int()
     # read too

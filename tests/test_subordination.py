@@ -52,6 +52,13 @@ def test_solver_config_validation():
         SolverConfig(damping=1.0)
 
 
+@pytest.mark.parametrize("tol", [np.inf, np.nan, -np.inf])
+def test_solver_config_refuses_a_non_finite_tol(tol):
+    # tol = inf let every solve stop as converged after one step
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        SolverConfig(tol=tol)
+
+
 def _diagonal_semicircle_problem():
     model = OperatorModel.partial_trace(np.diag([1.0, 2.0, 3.0, 4.0]), 2)
     return semicircle_problem(model, CPMap.scaled_identity(1.0, 2))
