@@ -197,10 +197,10 @@ class OperatorModel:
     def resolvent(self, b, level: int = 1):
         """(b - X otimes 1_k)^{-1}, batched; block by block for a BlockUpper b.
         A point whose size is not level * base_dim is a ValueError."""
-        d = level * self.base_dim
-        if np.shape(b)[-2:] != (d, d):
-            raise ValueError(f"resolvent point of size {np.shape(b)[-1]} does not match level "
-                             f"{level} over base_dim {self.base_dim} (size {d})")
+        size = 2 * b.corner.shape[-1] if isinstance(b, BlockUpper) else np.shape(b)[-1]
+        if size != level * self.base_dim:
+            raise ValueError(f"resolvent point of size {size} does not match level {level} "
+                             f"over base_dim {self.base_dim} (size {level * self.base_dim})")
         if isinstance(b, BlockUpper):
             Xh = identity_kron(level // 2, self.X)
             return inv(self.embed(b).map_blocks(lambda blk: blk - Xh, lambda c: c), level)
