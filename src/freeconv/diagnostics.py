@@ -348,6 +348,15 @@ class JCProbeResult:
 # selfadjoint limit
 SELFADJOINT_TOL = 1e-3
 
+# the verdicts a probe needs to be applicable, in the order their failures
+# are reported: the reason of a probe that converged at every height is
+# that of the first verdict here that fails, "" when none does
+REQUIRED_VERDICTS = {
+    "omega_selfadjoint_limit": "omega limit not selfadjoint",
+    "omega_cauchy": "omega values not settling",
+    "ell_strictly_positive": "normalized imaginary direction not strictly positive",
+}
+
 
 def jc_probe(problem: SubordinationProblem, alpha, v, u, y_schedule,
              cfg: SolverConfig = DEFAULT_CONFIG) -> JCProbeResult:
@@ -360,6 +369,7 @@ def jc_probe(problem: SubordinationProblem, alpha, v, u, y_schedule,
     normalized trace of Im h(omega_limit + i y u) divided by y, and the norm
     of the derivative of the nonlinearity h at omega_limit + i y ell applied
     to ell (via the 2x2 amplification of h), both batched over the heights.
+    The probe is applicable when every verdict of REQUIRED_VERDICTS holds.
 
     truncated_at is the first height whose solve did not converge;
     omega_values keeps the heights before it, and the probe is then not
@@ -382,69 +392,47 @@ def jc_probe(problem: SubordinationProblem, alpha, v, u, y_schedule,
         raise ValueError("y_schedule must be positive and strictly decreasing")
 
     y_arr = np.array(ys)
-    points = np.stack([require_halfplane(alpha + 1j * y * v, "upper", POSITIVITY_TOL,
-                                         name=f"probe point at y={y:g}") for y in ys])
-    solved = solve_omega_stack(problem, points, replace(cfg, start=None))
+    iy = 1j * y_arr[:, None, None]
+    # alpha + i y v has imaginary part y v > 0 at every height
+    solved = solve_omega_stack(problem, alpha + iy * v, replace(cfg, start=None))
     failed = np.flatnonzero(~solved.converged)
     cut = int(failed[0]) if failed.size else len(ys)
     truncated_at = ys[cut] if failed.size else None
-    omegas = list(solved.value[:cut])
-
-    im_norms = [opnorm(imag_part(w)) for w in omegas]
-    increments = [opnorm(omegas[i + 1] - omegas[i]) for i in range(len(omegas) - 1)]
+    W = solved.value[:cut]
+    omegas = list(W)
+    im_norms = opnorm_stack(imag_part(W)).tolist()
+    increments = opnorm_stack(np.diff(W, axis=0)).tolist()
 
     def trend_ok(seq) -> bool:
         tail = seq[-3:]
         return all(tail[i + 1] <= 1.05 * tail[i] + 1e-12 for i in range(len(tail) - 1))
 
     verdicts: dict[str, bool] = {}
-    reason = ""
-    omega_limit = None
-    ell = None
+    omega_limit = ell = None
     quotient: list[float] = []
     hprime_norms: list[float] = []
+    if truncated_at is None:
+        omega_limit = real_part(W[-1])
+        scale = im_norms[-1]
+        ell = imag_part(W[-1]) / scale if scale > 1e-300 else None
+        verdicts = {
+            "omega_selfadjoint_limit": scale <= SELFADJOINT_TOL,
+            "omega_cauchy": len(increments) >= 1 and trend_ok(increments),
+            "ell_strictly_positive": ell is not None and lambda_min(ell) > 1e-10,
+        }
+    if ell is not None:
+        n = omega_limit.shape[0]
+        hq = problem.h_map(omega_limit + iy * u, 1)
+        tau = np.real(np.trace(imag_part(hq), axis1=-2, axis2=-1)) / n
+        quotient = (tau / y_arr).tolist()
+        hw = omega_limit + iy * ell
+        hprime = divided_difference(lambda x: problem.h_map(x, 2), hw, hw, ell[None])
+        hprime_norms = opnorm_stack(hprime).tolist()
+        verdicts["quotient_bounded"] = trend_ok(quotient)
+        verdicts["hprime_bound"] = bool(hprime_norms[-1] <= 1.0 + 1e-3)
 
-    if truncated_at is not None:
-        reason = f"solver failed at y={truncated_at:g}"
-        applicable = False
-    else:
-        selfadjoint_ok = im_norms[-1] <= SELFADJOINT_TOL
-        cauchy_ok = len(increments) >= 1 and trend_ok(increments)
-        verdicts["omega_selfadjoint_limit"] = bool(selfadjoint_ok)
-        verdicts["omega_cauchy"] = bool(cauchy_ok)
-        omega_limit = real_part(omegas[-1])
-        im_last = imag_part(omegas[-1])
-        scale = opnorm(im_last)
-        if scale <= 1e-300:
-            ell = None
-            verdicts["ell_strictly_positive"] = False
-        else:
-            ell = im_last / scale
-            verdicts["ell_strictly_positive"] = bool(lambda_min(ell) > 1e-10)
-
-        if ell is not None:
-            n = omega_limit.shape[0]
-            hq = problem.h_map(omega_limit + 1j * y_arr[:, None, None] * u, 1)
-            tau = np.real(np.trace(imag_part(hq), axis1=-2, axis2=-1)) / n
-            quotient = (tau / y_arr).tolist()
-            W = omega_limit + 1j * y_arr[:, None, None] * ell
-            hprime = divided_difference(lambda x: problem.h_map(x, 2), W, W, ell[None])
-            hprime_norms = opnorm_stack(hprime).tolist()
-            verdicts["quotient_bounded"] = trend_ok(quotient)
-            verdicts["hprime_bound"] = bool(hprime_norms[-1] <= 1.0 + 1e-3)
-
-        if not selfadjoint_ok:
-            applicable = False
-            reason = "omega limit not selfadjoint"
-        elif not cauchy_ok:
-            applicable = False
-            reason = "omega values not settling"
-        elif not verdicts.get("ell_strictly_positive", False):
-            applicable = False
-            reason = "normalized imaginary direction not strictly positive"
-        else:
-            applicable = True
-
+    reason = f"solver failed at y={truncated_at:g}" if truncated_at is not None else next(
+        (why for name, why in REQUIRED_VERDICTS.items() if not verdicts[name]), "")
     return JCProbeResult(
         y_schedule=ys,
         omega_values=omegas,
@@ -455,7 +443,7 @@ def jc_probe(problem: SubordinationProblem, alpha, v, u, y_schedule,
         quotient=quotient,
         hprime_norms=hprime_norms,
         verdicts=verdicts,
-        applicable=applicable,
+        applicable=not reason,
         reason=reason,
         truncated_at=truncated_at,
     )

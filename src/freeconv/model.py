@@ -232,10 +232,16 @@ def cauchy_transform(model: OperatorModel, b, level: int | None = None) -> np.nd
     k = amplification_level(b, model.base_dim) if level is None else level
     if b.shape[-1] != k * model.base_dim:
         raise ValueError("level does not match the size of b")
+    _require_definite(b)
+    return model.cauchy(b, k)
+
+
+def _require_definite(b: np.ndarray) -> None:
+    """ValueError unless Im b is positive or negative definite, where a
+    Cauchy transform is defined."""
     if not (in_halfplane(b, "upper", POSITIVITY_TOL)
             or in_halfplane(b, "lower", POSITIVITY_TOL)):
         raise ValueError("b must have a definite imaginary part")
-    return model.cauchy(b, k)
 
 
 def h_transform(model: OperatorModel, b, level: int | None = None) -> np.ndarray:

@@ -711,8 +711,15 @@ def solve_omega_stack(problem: SubordinationProblem, b_stack: np.ndarray,
                       cfg: SolverConfig = DEFAULT_CONFIG,
                       level: int | None = None, anderson: bool = False, *,
                       cauchy_out: np.ndarray | None = None) -> SolveStack:
-    """Batched solve over a (B, d, d) stack of finite upper half-plane points
-    (ValueError otherwise; shared level); anderson mixes the steps (see _picard_stack).
+    """Batched solve over a (B, d, d) stack of points of one level; anderson
+    mixes the steps (see _picard_stack).
+
+    Only the shape and the finiteness of the stack are checked (ValueError
+    otherwise), not the half-plane: a point b of the lower half-plane gives
+    omega(b*)*, so cauchy_stack at b* is G(b)*.  r_transform_eval relies on
+    this for a g outside the lower half-plane, whose points g^{-1} lie near
+    infinity, where G is analytic even when Im b is not definite.  Elsewhere
+    such a point has no Cauchy transform, and cauchy_eval refuses it.
 
     cauchy_out, a complex array of the stack's shape, receives G_X(omega)
     of each entry's returned omega, with the bits of model.cauchy there.
@@ -861,8 +868,10 @@ def solve_gq_stack(problem: SubordinationProblem, q_stack: np.ndarray,
                    u_stack: np.ndarray, cfg: SolverConfig = DEFAULT_CONFIG,
                    level: int | None = None) -> SolveStack:
     """Batched v_q solves for a problem of either variant, over q and u stacks
-    of one shape (B, d, d) with finite entries (ValueError otherwise); u
-    entries may be non-selfadjoint amplifications.
+    of one shape (B, d, d) with finite entries and each q in the solve's
+    cone, Re q > 0 (on the diagonal blocks of a block upper triangular
+    stack; ValueError otherwise); u entries may be non-selfadjoint
+    amplifications.
 
     When q, u and the start equal their dag, so does every iterate, and each
     step takes h(u - iv) as dag(h(u + iv)): one h_map call.  That is decided
@@ -882,6 +891,9 @@ def solve_gq_stack(problem: SubordinationProblem, q_stack: np.ndarray,
     q, u, start = (split(x, k) for x in points)
     mirrored = _selfadjoint(q, u, start)
     admissible = _require_start(cfg, v0, _admissible(real_part, k, points, mirrored))
+    bad = np.flatnonzero(~admissible(q_stack.copy()))
+    if bad.size:
+        raise ValueError(f"q is not strictly positive at entries {bad.tolist()}")
     return _picard_stack(_gq_step(problem, q, u, k, mirrored), v0, cfg,
                          lambda v, idx: _gq_jacobians(problem, _entries(u, idx), v, k,
                                                       mirrored)[0],

@@ -36,7 +36,7 @@ from .algebra import (
     opnorm,
     require_halfplane,
 )
-from .model import OperatorModel, ScalarMeasure
+from .model import OperatorModel, ScalarMeasure, _require_definite
 from .subordination import (
     DEFAULT_CONFIG,
     SolverConfig,
@@ -82,10 +82,14 @@ def _require_source(source) -> None:
 
 
 def cauchy_eval(source, b, cfg: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Cauchy transform of any source at one point; the level is read from b."""
+    """Cauchy transform of any source at one point b with definite imaginary
+    part; the level is read from b.  A point of the lower half-plane gives
+    G(b) = G(b*)*."""
     b = as_element(b, "b")
     _require_source(source)
-    solve = source.cauchy_stack(b[None], amplification_level(b, source.base_dim), cfg)
+    level = amplification_level(b, source.base_dim)
+    _require_definite(b)
+    solve = source.cauchy_stack(b[None], level, cfg)
     return solve.require("Cauchy transform evaluation did not converge")[0]
 
 

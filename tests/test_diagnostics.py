@@ -420,6 +420,20 @@ def test_jc_probe_at_regular_exterior_point():
     assert out.truncated_at is None
 
 
+def test_jc_probe_reaches_heights_below_the_positivity_tolerance():
+    # alpha + i y v lies in the upper half-plane for every y > 0, also where
+    # y v is below POSITIVITY_TOL; Im omega / y tends to the JC derivative
+    # 1/(1 - omega(alpha)^-2) of the exterior point
+    prob = point_plus_semicircle()
+    schedule = tuple(10.0 ** (-k) for k in range(0, 15, 2))
+    out = jc_probe(prob, np.array([[3.0]]), np.eye(1), np.eye(1), schedule)
+    assert out.applicable and out.reason == "" and out.truncated_at is None
+    assert len(out.verdicts) == 5 and all(out.verdicts.values())
+    limit = (3.0 + np.sqrt(5.0)) / 2.0
+    assert abs(out.omega_limit[0, 0] - limit) < 1e-12
+    assert abs(out.im_norms[-1] / schedule[-1] - 1.0 / (1.0 - limit ** -2)) < 1e-8
+
+
 def test_jc_probe_interior_point_not_applicable():
     model = scalar_to_model(ScalarMeasure.point(0.0))
     prob = SubordinationProblem.generic(

@@ -80,6 +80,22 @@ def test_gq_stacks_of_different_lengths_are_rejected(lengths):
         solve_gq_stack(prob, q, u)
 
 
+@pytest.mark.parametrize("u", [0.0, 3.0])
+def test_gq_stack_refuses_a_q_that_is_not_positive_definite(u):
+    # q = -0.5 gave v = -1.2808 (u = 0) and -0.5601 (u = 3), flagged converged
+    prob = point_gamma_problem()
+    q = np.array([[[0.5]], [[-0.5]], [[0.0]]])
+    with pytest.raises(ValueError, match=r"q is not strictly positive at entries \[1, 2\]"):
+        solve_gq_stack(prob, q, np.full((3, 1, 1), u))
+    # a block upper triangular q is tested on its diagonal blocks
+    eye2, u2 = np.eye(2), upper_block(np.array([[u]]), np.array([[1.0]]), np.array([[u]]))
+    q2 = np.stack([upper_block(np.array([[s]]), np.array([[5.0]]), np.array([[0.1]]))
+                   for s in (0.1, -0.1)])
+    with pytest.raises(ValueError, match=r"at entries \[1\]"):
+        solve_gq_stack(prob, q2, np.stack([u2, u2]), level=2)
+    assert solve_gq_stack(prob, 0.1 * eye2[None], u2[None], level=2).converged.all()
+
+
 @pytest.mark.parametrize("name", ["b", "q", "u"])
 def test_non_finite_stack_entries_are_named(name):
     prob = _diagonal_semicircle_problem()

@@ -31,7 +31,8 @@ from _oracles import (
     semicircle_density,
     semicircle_g,
 )
-from helpers import random_hermitian, random_model, random_problem, random_psd, random_upper
+from helpers import (random_hermitian, random_model, random_power_problem, random_problem,
+                     random_psd, random_upper)
 
 
 def point_model():
@@ -91,6 +92,27 @@ def test_cauchy_eval_dispatch_and_nonconvergence():
         cauchy_eval("not a source", b)
     with pytest.raises(ValueError, match="not an amplification of B"):
         cauchy_eval(OperatorModel.partial_trace(np.eye(4), 2), 1j * np.eye(3))
+
+
+def test_cauchy_eval_refuses_a_point_without_definite_imaginary_part():
+    # the solve took this point and returned a G whose imaginary part has
+    # eigenvalues -0.61 and 0.83
+    prob = random_problem(np.random.default_rng(3), n=2, m=2)
+    b = np.diag([0.3 + 1j, -0.2 - 1j])
+    for source in (prob, prob.model):
+        with pytest.raises(ValueError, match="b must have a definite imaginary part"):
+            cauchy_eval(source, b)
+
+
+@pytest.mark.parametrize("variant", ["generic", "power"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cauchy_eval_at_the_adjoint_point_is_the_adjoint(variant, n):
+    # the solve at a lower half-plane point b* returns omega(b)*, so G(b*) = G(b)*
+    rng = np.random.default_rng(n)
+    prob = (random_problem if variant == "generic" else random_power_problem)(rng, n, 2)
+    b = random_upper(rng, n)
+    G = cauchy_eval(prob, b)
+    assert np.max(np.abs(cauchy_eval(prob, b.conj().T) - G.conj().T)) <= 1e-14
 
 
 def test_convergence_errors_carry_the_report_of_the_solve():
